@@ -375,16 +375,12 @@ def run_dir_is_complete(run_dir: str, spec=None) -> bool:
 def _strip_wall_time(event: Dict) -> Dict:
     return {k: v for k, v in event.items() if k != "wall_time"}
 
-#: train_config keys that choose *how* a fit is scheduled or observed,
-#: never *what* it computes — the ordered worker pool is bit-identical
-#: to sequential by construction, so the fingerprint treats
-#: ``train_workers`` exactly like the sweep's ``workers`` argument
-#: (which is not in the spec at all), ``trace`` only records spans
-#: (tested observationally inert), and ``heartbeat_seconds`` only
-#: rate-limits the status.json liveness stamp.  ``propagate_every`` and
-#: ``async_updates`` DO change the math and stay in the hash.
-_SCHEDULE_ONLY_TRAIN_KEYS = ("train_workers", "trace",
-                             "heartbeat_seconds")
+#: train_config keys that choose *how* a fit is observed, never *what*
+#: it computes: ``trace`` only records spans (tested observationally
+#: inert), and ``heartbeat_seconds`` only rate-limits the status.json
+#: liveness stamp.  ``propagate_every`` DOES change the math and stays
+#: in the hash.
+_SCHEDULE_ONLY_TRAIN_KEYS = ("trace", "heartbeat_seconds")
 
 
 def _schedule_free_spec(spec: Dict) -> Dict:
@@ -402,9 +398,9 @@ def run_dir_fingerprint(run_dir: str) -> str:
     """SHA-256 over the *deterministic* content of a run directory.
 
     Two runs of the same spec under the same toolchain produce the same
-    fingerprint no matter how they were scheduled — sequentially, on any
-    worker of a process-parallel sweep, or with any ``train_workers``
-    batch-pool size (a schedule-only knob, normalized out of the spec
+    fingerprint no matter how they were scheduled or observed —
+    sequentially or on any worker of a process-parallel sweep, traced or
+    not (the observability-only knobs are normalized out of the spec
     echo before hashing).  Covered: the spec echo, the
     status, every ``metrics.jsonl`` event, ``probes.json``,
     ``history.csv`` and the set of timing keys.  Excluded (the only

@@ -165,10 +165,6 @@ def assign_cell_names(specs: Sequence[ExperimentSpec]
     return cells
 
 
-#: backwards-compatible alias (pre-dispatch internal name)
-_assign_cell_names = assign_cell_names
-
-
 # --------------------------------------------------------------------- #
 # the manifest
 # --------------------------------------------------------------------- #
@@ -322,7 +318,7 @@ class SweepRunner:
         self.verbose = verbose
         #: final ``(name, spec)`` per cell; names are claimed run-dir
         #: basenames once :meth:`run` has started
-        self.cells = _assign_cell_names(self.specs)
+        self.cells = assign_cell_names(self.specs)
         #: the :class:`SweepReport` aggregated at the end of :meth:`run`
         #: (``None`` before run, or when ``base_dir`` is unset)
         self.report: Optional[SweepReport] = None

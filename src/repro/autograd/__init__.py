@@ -29,7 +29,6 @@ from .tensor import (Tensor, as_tensor, cast_like, concat, stack, where,
                      zeros, ones, no_grad, is_grad_enabled, unbroadcast,
                      default_dtype, get_default_dtype, set_default_dtype,
                      scatter_rows)
-from .shmem import SharedNDArray
 from .module import Module, Parameter, Linear, MLP, Embedding, Sequential
 from .optim import SGD, Adam, AdamW, ExponentialLR, Optimizer
 from .sparse import (spmm, weighted_spmm, coo_from_scipy,
@@ -57,7 +56,7 @@ __all__ = [
     "clear_sparse_caches", "enable_spmm_profiling", "reset_spmm_profile",
     "spmm_profile", "SPMM_PRIMITIVES",
     "fused_bpr_loss", "fused_bpr_scores", "light_propagate",
-    "scatter_rows", "SharedNDArray",
+    "scatter_rows",
     "gradcheck", "numerical_gradient",
     "functional", "init",
 ]

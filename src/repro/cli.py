@@ -47,11 +47,9 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
-import warnings
 from typing import Optional
 
 from .api import (Experiment, ExperimentSpec, expand_grid, recommend_topk)
@@ -396,35 +394,6 @@ def _cmd_sweep_status(args) -> int:
             print(f"  {cell['name']} (after {cell['attempts']} "
                   f"attempt(s)): {cell['error']}")
     return 1 if counts["dead"] else 0
-
-
-# --------------------------------------------------------------------- #
-# deprecated function-level entry points (one release of grace)
-# --------------------------------------------------------------------- #
-
-def _deprecated(replacement: str):
-    """Mark an old entry point; each call emits one DeprecationWarning."""
-    def decorate(func):
-        @functools.wraps(func)
-        def wrapper(*args, **kwargs):
-            warnings.warn(
-                f"repro.cli.{func.__name__.lstrip('_')} is deprecated; "
-                f"use {replacement} instead",
-                DeprecationWarning, stacklevel=2)
-            return func(*args, **kwargs)
-        wrapper.__name__ = func.__name__.lstrip("_")
-        return wrapper
-    return decorate
-
-
-cmd_models = _deprecated("main(['models'])")(_cmd_models)
-cmd_datasets = _deprecated("main(['datasets'])")(_cmd_datasets)
-cmd_train = _deprecated(
-    "repro.api.Experiment(spec).run()")(_cmd_train)
-cmd_evaluate = _deprecated(
-    "repro.api.Experiment(spec).evaluate(checkpoint=...)")(_cmd_evaluate)
-cmd_recommend = _deprecated(
-    "repro.api.recommend_topk(...)")(_cmd_recommend)
 
 
 # --------------------------------------------------------------------- #

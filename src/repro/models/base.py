@@ -157,10 +157,9 @@ class Recommender(Module):
         arrays are **copies**, frozen snapshots of the current
         parameters — later optimizer steps never leak into them, which
         is what makes a stale window's gradients independent of the
-        updates applied inside it (and therefore worker-count
-        invariant).  Unlike ``inference_cache`` — whose cache dies with
-        its context so *evaluation* always sees live parameters — this
-        cache lives until the next refresh or
+        updates applied inside it.  Unlike ``inference_cache`` — whose
+        cache dies with its context so *evaluation* always sees live
+        parameters — this cache lives until the next refresh or
         :meth:`invalidate_propagation` (structural resampling).
         """
         with no_grad():

@@ -7,9 +7,9 @@
 - **Tracing** (:mod:`repro.obs.trace`): ``span()`` / ``traced()`` record
   wall-time spans with parent links into a per-process ring buffer,
   exported as Chrome-trace ``trace.json`` run-dir artifacts; spans from
-  spawn workers merge into the parent buffer at pool shutdown.  Off by
-  default and zero-cost when disabled; turned on per run via
-  ``TrainConfig.trace``.
+  spawn sweep workers merge into the parent buffer as each cell's
+  result is collected.  Off by default and zero-cost when disabled;
+  turned on per run via ``TrainConfig.trace``.
 - **Metrics** (:mod:`repro.obs.metrics`): process-wide counters, gauges
   and fixed-bucket histograms, snapshotted into ``metrics.json`` and
   exportable as Prometheus text.

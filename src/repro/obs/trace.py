@@ -14,10 +14,9 @@ Design constraints, in order:
    hot-path benchmark asserts this stays unmeasurable.
 2. **Cross-process mergeable.**  Every event carries ``pid``/``tid`` and
    a timestamp anchored to the shared wall clock (``time.time``), so
-   events recorded in spawn workers (sweep cells, ``StaleGradientPool``
-   batch workers) can be shipped back as plain dicts and absorbed into
-   the parent's buffer with :func:`absorb_events` -- the same rendezvous
-   the per-primitive autograd profile already uses.
+   events recorded in spawn workers (process-parallel sweep cells) can
+   be shipped back as plain dicts and absorbed into the parent's buffer
+   with :func:`absorb_events`.
 3. **Bounded memory.**  The buffer is a ring: once ``capacity`` events
    are held, the oldest are overwritten and counted in
    :func:`dropped_event_count`.
@@ -260,7 +259,7 @@ def set_process_label(label: str) -> None:
     """Name this process in the trace viewer (an ``"M"`` metadata event).
 
     Workers call this right after enabling tracing so merged traces read
-    ``sweep-worker`` / ``train-worker-1`` instead of bare pids.  No-op
+    ``dispatch-worker w1`` instead of bare pids.  No-op
     while tracing is disabled.
     """
     if not _enabled:
@@ -369,8 +368,8 @@ def snapshot_events() -> List[Dict[str, Any]]:
 def drain_events() -> List[Dict[str, Any]]:
     """Return all buffered events and clear the buffer.
 
-    Workers call this at shutdown to ship their events to the parent in
-    one message; pairing it with :func:`absorb_events` on the parent
+    A worker process can call this at shutdown to ship its events to
+    the parent in one message; pairing it with :func:`absorb_events` on the parent
     side gives exactly-once merge semantics.
     """
     global _ring, _next_slot

@@ -97,33 +97,12 @@ class TrainConfig:
                                               # embedding-dot score_users
                                               # (GNN zoo); custom-scorer
                                               # models raise
-    train_workers: Optional[int] = None       # N shared-memory batch workers
-                                              # computing the stale-window
-                                              # gradients (requires
-                                              # propagate_every > 1).  None/0
-                                              # = in-process.  The parent
-                                              # samples every batch and
-                                              # applies gradients in batch
-                                              # order, so any N is bit-
-                                              # identical to sequential
-                                              # (run_dir_fingerprint-
-                                              # certified) unless
-                                              # async_updates opts out
-    async_updates: bool = False               # opt-in lock-free mode: apply
-                                              # window gradients in worker
-                                              # completion order instead of
-                                              # batch order (hogwild-style).
-                                              # Breaks bit-reproducibility —
-                                              # which is why it is a spec-
-                                              # visible knob and never a
-                                              # default; requires
-                                              # train_workers
     early_stop_patience: Optional[int] = None  # evals w/o improvement
     early_stop_metric: str = "recall@20"
     verbose: bool = False
     trace: bool = False                       # record repro.obs spans for
                                               # this fit (epochs, batches,
-                                              # refreshes, worker batches)
+                                              # refreshes, stale windows)
                                               # and, via the experiment
                                               # layer, export a Chrome-
                                               # trace trace.json into the
@@ -131,7 +110,7 @@ class TrainConfig:
                                               # only: never changes the
                                               # math, and run_dir
                                               # fingerprints normalize it
-                                              # out like train_workers.
+                                              # out.
                                               # Off by default; the
                                               # disabled path is a no-op
                                               # fast path asserted by the
@@ -148,7 +127,7 @@ class TrainConfig:
                                               # clock.  Schedule-only: the
                                               # run_dir fingerprint
                                               # normalizes it out like
-                                              # train_workers/trace
+                                              # trace
     fail_after_epoch: Optional[int] = None    # fault-injection hook: raise
                                               # RuntimeError once this many
                                               # epochs completed.  Exists so

@@ -1,11 +1,8 @@
-"""The multicore training scheduler: amortized propagation + batch workers.
+"""The amortized-propagation training schedule (stale windows).
 
-PR 1–6 vectorized sampling, chunked evaluation, sharded serving and fused
-the autograd hot path; the per-primitive profile now points at one cost:
-every mini-batch recomputes the full multi-layer ``propagate()`` forward
-*and* backward.  This module amortizes that cost and opens the training
-loop to multiple cores, without giving up the repo's determinism
-invariant.
+Every mini-batch of the classic loop recomputes the full multi-layer
+``propagate()`` forward *and* backward.  This module amortizes that cost
+without giving up the repo's determinism invariant.
 
 The stale-window schedule (``TrainConfig.propagate_every = K``)
 ----------------------------------------------------------------
@@ -26,76 +23,25 @@ Each epoch is cut into windows of ``K`` batches:
 
 Because a stale batch's objective depends *only* on the frozen tables —
 never on parameters updated inside the window — the window's gradients
-are mutually independent.  That is the whole trick: they can be computed
-in any order, by any number of processes, and applying them in the fixed
-batch order reproduces the sequential schedule **bit for bit**.
+are mutually independent: the trainer computes and applies them one by
+one, in batch order, inside the window.
 
 ``K = 1`` (the default) never enters this module: the trainer runs the
 classic loop unchanged, bit-identical to every previous release.  The
 schedule requires the inherited embedding-dot ``score_users`` (see
 :meth:`Recommender.supports_amortized_propagation`); custom-scorer models
 (ncf, autorec, biasmf) reject it loudly.
-
-The shared-memory worker pool (``TrainConfig.train_workers = N``)
------------------------------------------------------------------
-:class:`StaleGradientPool` spawns ``N`` persistent workers (same
-``spawn`` discipline as the sweep pool).  The frozen tables live in
-``multiprocessing.shared_memory`` segments (:class:`~repro.autograd.shmem.
-SharedNDArray`) the parent rewrites in place at each refresh; each worker
-owns a shared gradient result buffer the parent applies from — per
-window, the only data crossing a pipe is batch indices and scalar losses.
-The parent samples **every** batch (one RNG stream, identical to
-sequential), deals stale batches round-robin, and applies the results in
-batch order — so ``train_workers=N`` is bit-identical to the in-process
-schedule for any ``N`` (``run_dir_fingerprint``-certified, the same
-invariant the sweep and serving tiers test).  Completion-order
-application (hogwild-style) is available behind the explicit
-``TrainConfig.async_updates`` opt-in.
-
-Worker BLAS pools are capped at ``cores // N``
-(:mod:`repro.utils.threads`, override with ``REPRO_BLAS_THREADS``) so N
-numpy processes don't oversubscribe the machine, and each worker ships
-its :func:`repro.autograd.primitive_profile` deltas back at shutdown so
-``FitResult.primitive_seconds`` stays truthful across processes.
 """
 
 from __future__ import annotations
 
-import math
-import multiprocessing
-import traceback as _traceback
-from contextlib import ExitStack
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from ..autograd import (Tensor, enable_primitive_profiling, fused_bpr_loss,
-                        fused_kernels_enabled, primitive_profile,
-                        scatter_rows, use_backend, functional as F)
-from ..autograd.shmem import SharedNDArray
-from ..obs import (absorb_events, drain_events, enable_tracing,
-                   set_process_label, span)
-from ..utils.threads import (apply_blas_thread_limit, blas_thread_budget,
-                             blas_thread_limit)
+from ..autograd import (Tensor, fused_bpr_loss, fused_kernels_enabled,
+                        scatter_rows, functional as F)
 
-#: same start method as the sweep pool: every worker gets a clean
-#: interpreter, so results are identical no matter which process runs what
-MP_START_METHOD = "spawn"
-
-#: seconds to wait on a worker before declaring it dead
-_WORKER_TIMEOUT = 120.0
-
-#: a sampled BPR batch: (users, pos_items, neg_items) index arrays
-Batch = Tuple[np.ndarray, np.ndarray, np.ndarray]
-
-#: one applicable stale update: (users, pos, neg, loss, gu, gp, gn)
-Update = Tuple[np.ndarray, np.ndarray, np.ndarray, float,
-               np.ndarray, np.ndarray, np.ndarray]
-
-
-# --------------------------------------------------------------------- #
-# the stale-batch objective (shared by the in-process and worker paths)
-# --------------------------------------------------------------------- #
 
 def stale_batch_grads(user_rows: np.ndarray, pos_rows: np.ndarray,
                       neg_rows: np.ndarray, reg_weight: float
@@ -106,8 +52,8 @@ def stale_batch_grads(user_rows: np.ndarray, pos_rows: np.ndarray,
     the *frozen* propagated tables.  The objective mirrors the exact
     path's BPR + batch-wise L2 (same fused-kernel gating), computed
     entirely on the stale rows — by construction it never reads live
-    parameters, which is what makes window gradients order- and
-    process-independent.  Returns ``(loss, d/d_user_rows, d/d_pos_rows,
+    parameters, which is what makes window gradients mutually
+    independent.  Returns ``(loss, d/d_user_rows, d/d_pos_rows,
     d/d_neg_rows)``; the caller scatters them onto the ego tables.
     """
     u = Tensor(user_rows, requires_grad=True)
@@ -137,9 +83,7 @@ def apply_stale_gradients(model, optimizer, users: np.ndarray,
     the full width for LightGCN-style models).  Uses the tape's own
     dtype-preserving segment-sum scatter
     (:func:`repro.autograd.scatter_rows`) — one scatter per ``take_rows``
-    occurrence, accumulated exactly like ``backward()`` would — so an
-    update applied here is bit-identical wherever the grads were
-    computed.
+    occurrence, accumulated exactly like ``backward()`` would.
     """
     uw = model.user_emb.weight
     iw = model.item_emb.weight
@@ -158,234 +102,3 @@ def apply_stale_gradients(model, optimizer, users: np.ndarray,
         neg, iw.data.shape[0])
     iw.grad = item_grad
     optimizer.step()
-
-
-def iter_window_updates(stale_users: np.ndarray, stale_items: np.ndarray,
-                        batches: Sequence[Batch], reg_weight: float
-                        ) -> Iterator[Update]:
-    """In-process stale window: compute each batch's grads, in order.
-
-    The sequential twin of :meth:`StaleGradientPool.run_window` — same
-    gather, same :func:`stale_batch_grads`, same yield shape — so the
-    worker pool has a bit-identical reference to be tested against.
-    """
-    for users, pos, neg in batches:
-        loss, gu, gp, gn = stale_batch_grads(
-            stale_users[users], stale_items[pos], stale_items[neg],
-            reg_weight)
-        yield users, pos, neg, loss, gu, gp, gn
-
-
-# --------------------------------------------------------------------- #
-# worker-side plumbing (module-level: pickled by qualified name on spawn)
-# --------------------------------------------------------------------- #
-
-def _worker_main(init: Dict, task_queue, result_queue) -> None:
-    """One batch worker: gather stale rows, compute grads, publish.
-
-    Tasks arrive as ``(slot, seq, users, pos, neg)``; the gradients land
-    in slot ``slot`` of this worker's shared result buffer and a
-    ``("done", worker_id, slot, seq, loss)`` message tells the parent.
-    ``None`` shuts the worker down, answering with its accumulated
-    primitive-profile counters — and, when the parent traced the fit,
-    its ``repro.obs`` span events — so the parent can keep
-    ``FitResult.primitive_seconds`` and the merged trace truthful.
-    """
-    apply_blas_thread_limit(init["blas_threads"])
-    worker_id = init["worker_id"]
-    users_tbl = SharedNDArray.attach(init["user_spec"])
-    items_tbl = SharedNDArray.attach(init["item_spec"])
-    grads_tbl = SharedNDArray.attach(init["grad_spec"])
-    enable_primitive_profiling(bool(init["profile"]))
-    if init.get("trace"):
-        enable_tracing(True)
-        set_process_label(f"train-worker-{worker_id}")
-    stack = ExitStack()
-    if init["backend"]:
-        stack.enter_context(use_backend(init["backend"]))
-    try:
-        while True:
-            task = task_queue.get()
-            if task is None:
-                result_queue.put(("profile", worker_id,
-                                  primitive_profile(), drain_events()))
-                break
-            slot, seq, users, pos, neg = task
-            try:
-                with span("train.stale_batch", seq=seq, worker=worker_id):
-                    su = users_tbl.array
-                    si = items_tbl.array
-                    loss, gu, gp, gn = stale_batch_grads(
-                        su[users], si[pos], si[neg], init["reg_weight"])
-                    buf = grads_tbl.array[slot]
-                    n = users.shape[0]
-                    buf[0, :n] = gu
-                    buf[1, :n] = gp
-                    buf[2, :n] = gn
-                result_queue.put(("done", worker_id, slot, seq, loss))
-            except Exception:  # noqa: BLE001 — surfaced in the parent
-                result_queue.put(("error", worker_id, slot, seq,
-                                  _traceback.format_exc()))
-    finally:
-        stack.close()
-        users_tbl.close()
-        items_tbl.close()
-        grads_tbl.close()
-
-
-class StaleGradientPool:
-    """N persistent spawn workers computing stale-window gradients.
-
-    Lifecycle: the trainer creates one pool per fit (tables sized to the
-    model), calls :meth:`push_tables` after each propagation refresh,
-    iterates :meth:`run_window` per stale window, and :meth:`close`\\ s
-    the pool at the end of the fit — which returns the workers' merged
-    primitive-profile counters.  ``ordered=True`` (the default) applies
-    in batch order (bit-identical to the in-process schedule);
-    ``ordered=False`` is the opt-in completion-order mode.
-    """
-
-    def __init__(self, workers: int, num_users: int, num_items: int,
-                 dim: int, dtype, batch_size: int, max_window: int,
-                 reg_weight: float, backend: Optional[str] = None,
-                 profile: bool = False, trace: bool = False):
-        if workers < 1:
-            raise ValueError(f"need at least one worker, got {workers}")
-        ctx = multiprocessing.get_context(MP_START_METHOD)
-        self.workers = workers
-        self.batch_size = batch_size
-        slots = max(1, math.ceil(max(1, max_window) / workers))
-        self._user = SharedNDArray.create((num_users, dim), dtype)
-        self._item = SharedNDArray.create((num_items, dim), dtype)
-        self._grads = [SharedNDArray.create((slots, 3, batch_size, dim),
-                                            dtype)
-                       for _ in range(workers)]
-        self._tasks = [ctx.Queue() for _ in range(workers)]
-        self._results = ctx.Queue()
-        self._procs: List = []
-        self._closed = False
-        blas = blas_thread_budget(workers)
-        # env set before start(): spawned children import numpy under it
-        with blas_thread_limit(blas):
-            for w in range(workers):
-                init = {"worker_id": w,
-                        "user_spec": self._user.spec(),
-                        "item_spec": self._item.spec(),
-                        "grad_spec": self._grads[w].spec(),
-                        "reg_weight": reg_weight,
-                        "backend": backend,
-                        "profile": profile,
-                        "trace": trace,
-                        "blas_threads": blas}
-                proc = ctx.Process(target=_worker_main,
-                                   args=(init, self._tasks[w],
-                                         self._results),
-                                   daemon=True)
-                proc.start()
-                self._procs.append(proc)
-
-    # ------------------------------------------------------------------ #
-    def push_tables(self, stale_users: np.ndarray,
-                    stale_items: np.ndarray) -> None:
-        """Overwrite the shared frozen tables (between windows only)."""
-        self._user.array[...] = stale_users
-        self._item.array[...] = stale_items
-
-    def _next_message(self):
-        msg = self._results.get(timeout=_WORKER_TIMEOUT)
-        if msg[0] == "error":
-            _, worker_id, _, seq, trace = msg
-            raise RuntimeError(
-                f"training worker {worker_id} failed on batch {seq}:\n"
-                f"{trace}")
-        return msg
-
-    def run_window(self, batches: Sequence[Batch], ordered: bool = True
-                   ) -> Iterator[Update]:
-        """Fan one stale window out and yield applicable updates.
-
-        Dealing is round-robin by batch position (deterministic); the
-        generator is also the window barrier — it is exhausted only
-        after every worker reported, so the caller may refresh the
-        shared tables right after the loop.
-        """
-        for seq, (users, pos, neg) in enumerate(batches):
-            worker = seq % self.workers
-            slot = seq // self.workers
-            self._tasks[worker].put((slot, seq, users, pos, neg))
-        pending = len(batches)
-        if ordered:
-            done = {}
-            for _ in range(pending):
-                _, worker_id, slot, seq, loss = self._next_message()
-                done[seq] = (worker_id, slot, loss)
-            for seq in sorted(done):
-                worker_id, slot, loss = done[seq]
-                yield self._update(batches, seq, worker_id, slot, loss)
-        else:
-            # completion order: apply while the other workers still run
-            for _ in range(pending):
-                _, worker_id, slot, seq, loss = self._next_message()
-                yield self._update(batches, seq, worker_id, slot, loss)
-
-    def _update(self, batches: Sequence[Batch], seq: int, worker_id: int,
-                slot: int, loss: float) -> Update:
-        users, pos, neg = batches[seq]
-        n = users.shape[0]
-        buf = self._grads[worker_id].array[slot]
-        return (users, pos, neg, loss,
-                buf[0, :n], buf[1, :n], buf[2, :n])
-
-    # ------------------------------------------------------------------ #
-    def close(self) -> Dict[str, Dict[str, float]]:
-        """Shut workers down; return their merged primitive profile.
-
-        Idempotent (later calls return ``{}``), and safe mid-crash: dead
-        workers are skipped, stragglers terminated.  Each worker's
-        shutdown message also carries its drained ``repro.obs`` trace
-        events (empty unless the fit was traced); they are absorbed into
-        this process's trace buffer here — the idempotence is what makes
-        the cross-process merge exactly-once, crash or no crash.
-        """
-        if self._closed:
-            return {}
-        self._closed = True
-        merged: Dict[str, Dict[str, float]] = {}
-        for queue in self._tasks:
-            try:
-                queue.put(None)
-            except Exception:  # pragma: no cover - queue already broken
-                pass
-        collected = 0
-        while collected < len(self._procs):
-            try:
-                msg = self._results.get(timeout=10.0)
-            except Exception:  # worker died without reporting
-                break
-            if msg[0] != "profile":
-                continue  # leftover window messages from a crashed run
-            collected += 1
-            for name, entry in msg[2].items():
-                into = merged.setdefault(name,
-                                         {"calls": 0, "seconds": 0.0})
-                into["calls"] += entry.get("calls", 0)
-                into["seconds"] += entry.get("seconds", 0.0)
-            if len(msg) > 3 and msg[3]:
-                absorb_events(msg[3])
-        for proc in self._procs:
-            proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - hung worker
-                proc.terminate()
-                proc.join(timeout=5.0)
-        for queue in self._tasks + [self._results]:
-            queue.close()
-            queue.join_thread()
-        for shared in [self._user, self._item] + self._grads:
-            shared.close()
-        return merged
-
-    def __del__(self):  # best-effort cleanup; never leak processes/shm
-        try:
-            self.close()
-        except Exception:  # pragma: no cover - interpreter teardown
-            pass

@@ -17,11 +17,10 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .config import TrainConfig
-from .parallel import (StaleGradientPool, apply_stale_gradients,
-                       iter_window_updates)
+from .parallel import apply_stale_gradients, stale_batch_grads
 from ..autograd import (Adam, ExponentialLR, SPMM_PRIMITIVES, no_grad,
                         primitive_profile, primitive_profiling_enabled,
-                        spmm_profile, use_backend)
+                        use_backend)
 from ..data import BPRSampler, InteractionDataset
 from ..eval import evaluate_model
 from ..obs import (console, counter, counter_event, gauge, histogram, span,
@@ -99,11 +98,10 @@ class Trainer:
     epoch, ready for ``RecommenderService.from_snapshot``.
 
     ``TrainConfig.propagate_every`` > 1 switches each epoch onto the
-    amortized stale-window schedule, and ``TrainConfig.train_workers``
-    fans the stale batches out over a shared-memory worker pool — see
-    :mod:`repro.train.parallel`.  Both require the model's inherited
-    embedding-dot ``score_users`` (``supports_amortized_propagation``);
-    the default ``propagate_every=1`` runs the classic loop unchanged.
+    amortized stale-window schedule (see :mod:`repro.train.parallel`).
+    It requires the model's inherited embedding-dot ``score_users``
+    (``supports_amortized_propagation``); the default
+    ``propagate_every=1`` runs the classic loop unchanged.
     """
 
     def __init__(self, model, dataset: InteractionDataset,
@@ -131,20 +129,6 @@ class Trainer:
         if cfg.propagate_every < 1:
             raise ValueError(
                 f"propagate_every must be >= 1, got {cfg.propagate_every}")
-        workers = cfg.train_workers or 0
-        if workers < 0:
-            raise ValueError(
-                f"train_workers must be >= 0, got {cfg.train_workers}")
-        if workers and cfg.propagate_every <= 1:
-            raise ValueError(
-                "train_workers requires propagate_every > 1: the worker "
-                "pool parallelizes the stale batches of the amortized "
-                "schedule, and with propagate_every=1 every batch "
-                "re-propagates in the parent")
-        if cfg.async_updates and not workers:
-            raise ValueError(
-                "async_updates is the worker pool's completion-order "
-                "mode; set train_workers as well")
         if cfg.propagate_every > 1:
             supports = getattr(model, "supports_amortized_propagation",
                                None)
@@ -171,65 +155,6 @@ class Trainer:
                     return self._fit()
             return self._fit()
 
-    def _fit(self) -> FitResult:
-        cfg = self.config
-        num_batches = cfg.batches_per_epoch
-        if num_batches is None:
-            num_batches = max(
-                1, math.ceil(self.dataset.num_train_interactions
-                             / cfg.batch_size))
-        history: List[EpochRecord] = []
-        timer = Timer()
-        sampler_timer = Timer()
-        eval_timer = Timer()
-        spmm_seconds_at_start = spmm_profile()["seconds"]
-        profile_at_start = primitive_profile()
-        best_value = -np.inf
-        best_metrics: Dict[str, float] = {}
-        best_epoch = -1
-        stale_evals = 0
-        propagate_every = max(1, cfg.propagate_every)
-        self._ego_columns = slice(None)
-        self._table_shapes = None
-        if propagate_every > 1:
-            # probe the propagated-table geometry once: width may exceed
-            # the ego width (layer-concat models), and the model then
-            # names the identity-rooted block the stale scatter may use
-            with no_grad():
-                users_t, items_t = self.model.propagate()
-            self._table_shapes = (users_t.data.shape, items_t.data.shape,
-                                  users_t.data.dtype)
-            self._ego_columns = self.model.amortized_ego_columns(
-                users_t.data.shape[1])
-        pool = self._make_pool(num_batches)
-        try:
-            return self._fit_epochs(
-                cfg, num_batches, propagate_every, pool, history, timer,
-                sampler_timer, eval_timer, spmm_seconds_at_start,
-                profile_at_start, best_value, best_metrics, best_epoch,
-                stale_evals)
-        finally:
-            if pool is not None:
-                pool.close()  # idempotent; the success path already did
-
-    def _make_pool(self, num_batches: int) -> Optional[StaleGradientPool]:
-        """Spawn the stale-batch worker pool when the config asks for one."""
-        cfg = self.config
-        workers = cfg.train_workers or 0
-        max_window = min(max(1, cfg.propagate_every) - 1, num_batches - 1)
-        if not workers or max_window < 1:
-            return None
-        user_shape, item_shape, dtype = self._table_shapes
-        return StaleGradientPool(
-            workers=workers, num_users=user_shape[0],
-            num_items=item_shape[0],
-            dim=user_shape[1], dtype=dtype,
-            batch_size=cfg.batch_size, max_window=max_window,
-            reg_weight=self.model.config.reg_weight,
-            backend=cfg.autograd_backend,
-            profile=primitive_profiling_enabled(),
-            trace=tracing_enabled())
-
     @staticmethod
     def _emit_primitive_counters(profile_at_start) -> None:
         """Re-expose the autograd profiler as trace counter tracks.
@@ -248,10 +173,32 @@ class Trainer:
                 counter_event(f"autograd.{name}", seconds=delta,
                               calls=entry["calls"])
 
-    def _fit_epochs(self, cfg, num_batches, propagate_every, pool, history,
-                    timer, sampler_timer, eval_timer, spmm_seconds_at_start,
-                    profile_at_start, best_value, best_metrics, best_epoch,
-                    stale_evals) -> FitResult:
+    def _fit(self) -> FitResult:
+        cfg = self.config
+        num_batches = cfg.batches_per_epoch
+        if num_batches is None:
+            num_batches = max(
+                1, math.ceil(self.dataset.num_train_interactions
+                             / cfg.batch_size))
+        history: List[EpochRecord] = []
+        timer = Timer()
+        sampler_timer = Timer()
+        eval_timer = Timer()
+        profile_at_start = primitive_profile()
+        best_value = -np.inf
+        best_metrics: Dict[str, float] = {}
+        best_epoch = -1
+        stale_evals = 0
+        propagate_every = max(1, cfg.propagate_every)
+        self._ego_columns = slice(None)
+        if propagate_every > 1:
+            # probe the propagated width once: it may exceed the ego
+            # width (layer-concat models), and the model then names the
+            # identity-rooted block the stale scatter may use
+            with no_grad():
+                users_t, _ = self.model.propagate()
+            self._ego_columns = self.model.amortized_ego_columns(
+                users_t.data.shape[1])
         for epoch in range(1, cfg.epochs + 1):
             epoch_started = timer.total
             with span("train.epoch", epoch=epoch), timer:
@@ -273,7 +220,7 @@ class Trainer:
                             epoch_loss += loss.item()
                 else:
                     epoch_loss = self._amortized_epoch(
-                        num_batches, propagate_every, pool, sampler_timer)
+                        num_batches, propagate_every, sampler_timer)
                 self.scheduler.step()
             epoch_loss /= num_batches
 
@@ -348,46 +295,28 @@ class Trainer:
             # end-of-fit serving snapshot of the final parameters
             from .callbacks import ServingSnapshot
             ServingSnapshot(cfg.snapshot_path)(self.model, self.dataset)
-        # fold the workers' per-process profile counters in *before*
-        # reading the parent's, so FitResult.primitive_seconds (and the
-        # derived spmm view) stays truthful under train_workers > 1
-        worker_profile = pool.close() if pool is not None else {}
         primitive_seconds = {}
         for name, entry in primitive_profile().items():
             delta = entry["seconds"] - profile_at_start.get(
                 name, {}).get("seconds", 0.0)
             if delta > 0.0:
                 primitive_seconds[name] = delta
-        worker_spmm_seconds = 0.0
-        for name, entry in worker_profile.items():
-            seconds = entry.get("seconds", 0.0)
-            if seconds <= 0.0:
-                continue
-            primitive_seconds[name] = (primitive_seconds.get(name, 0.0)
-                                       + seconds)
-            if name in SPMM_PRIMITIVES:
-                worker_spmm_seconds += seconds
         return FitResult(history=history, best_metrics=best_metrics,
                          best_epoch=best_epoch, train_seconds=timer.total,
                          sampler_seconds=sampler_timer.total,
-                         spmm_seconds=(spmm_profile()["seconds"]
-                                       - spmm_seconds_at_start
-                                       + worker_spmm_seconds),
+                         spmm_seconds=sum(primitive_seconds.get(name, 0.0)
+                                          for name in SPMM_PRIMITIVES),
                          eval_seconds=eval_timer.total,
                          primitive_seconds=primitive_seconds)
 
     def _amortized_epoch(self, num_batches: int, propagate_every: int,
-                         pool: Optional[StaleGradientPool],
                          sampler_timer: Timer) -> float:
         """One epoch of the stale-window schedule (see train.parallel).
 
         Every window: one exact batch (live ``model.loss``), a frozen
-        table refresh, then up to ``propagate_every - 1`` stale batches
-        whose gradients come from the pool (or the bit-identical
-        in-process path) and are applied in batch order — completion
-        order only under the explicit ``async_updates`` opt-in.  The
-        parent samples all batches, so the RNG stream never depends on
-        the worker count.
+        table refresh, then up to ``propagate_every - 1`` stale batches,
+        each sampled, differentiated against the frozen tables and
+        applied in batch order.
         """
         model, cfg = self.model, self.config
         reg_weight = model.config.reg_weight
@@ -409,18 +338,12 @@ class Trainer:
             with span("train.refresh", batch=batch):
                 stale_users, stale_items = model.refresh_propagation()
             with span("train.window", size=window):
-                batches = []
                 for _ in range(window):
                     with sampler_timer:
-                        batches.append(self.sampler.sample(cfg.batch_size))
-                if pool is not None:
-                    pool.push_tables(stale_users, stale_items)
-                    updates = pool.run_window(batches,
-                                              ordered=not cfg.async_updates)
-                else:
-                    updates = iter_window_updates(stale_users, stale_items,
-                                                  batches, reg_weight)
-                for users, pos, neg, loss_value, gu, gp, gn in updates:
+                        users, pos, neg = self.sampler.sample(cfg.batch_size)
+                    loss_value, gu, gp, gn = stale_batch_grads(
+                        stale_users[users], stale_items[pos],
+                        stale_items[neg], reg_weight)
                     apply_stale_gradients(model, self.optimizer,
                                           users, pos, neg, gu, gp, gn,
                                           ego_columns=self._ego_columns)

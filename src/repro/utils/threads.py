@@ -4,14 +4,14 @@ numpy links against a threaded BLAS (OpenBLAS / MKL / ...) whose pool
 defaults to "all the cores".  That is the right call for one process,
 and exactly wrong for N worker processes: N pools x all cores
 oversubscribes the machine and the workers spend their time context
-switching instead of multiplying.  Every process-parallel tier in this
-repo (the sweep pool, the training worker pool) therefore caps each
+switching instead of multiplying.  The process-parallel sweep pool
+(:func:`repro.api.run_sweep` with ``workers=N``) therefore caps each
 worker's BLAS pool at ``cores // workers``.
 
 Two mechanisms, one knob:
 
 * **Environment variables** (:data:`BLAS_ENV_VARS`) — honored by every
-  BLAS at *load* time.  Our pools use the ``spawn`` start method, so
+  BLAS at *load* time.  The sweep pool uses the ``spawn`` start method, so
   setting the variables in the parent just before the workers start
   (:class:`blas_thread_limit`) caps the freshly imported numpy in each
   child.  This is dependency-free and covers OpenBLAS, MKL, numexpr and
@@ -93,7 +93,7 @@ class blas_thread_limit:
     """Context manager: cap BLAS pools at ``threads`` for the block.
 
     Sets the :data:`BLAS_ENV_VARS` (inherited by any process spawned
-    inside the block — the whole point: our worker pools start their
+    inside the block — the whole point: the sweep pool starts its
     children here) and, when threadpoolctl is importable, re-limits the
     current process's already-loaded pools too.  Previous values are
     restored on exit.
@@ -136,8 +136,8 @@ class blas_thread_limit:
 def apply_blas_thread_limit(threads: int) -> None:
     """Persistently cap BLAS threads for *this* process (no restore).
 
-    The worker-side half of :class:`blas_thread_limit`: pool
-    initializers call this so a worker that later re-imports or
+    The worker-side half of :class:`blas_thread_limit`: the sweep
+    pool's initializer calls this so a worker that later re-imports or
     lazily initializes a BLAS keeps the cap for its whole lifetime.
     """
     if threads < 1:

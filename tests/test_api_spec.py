@@ -84,10 +84,14 @@ class TestStrictParsing:
             ExperimentSpec(model="lightgcn", dataset="tiny",
                            model_config={"embeding_dim": 16})
 
-    def test_unknown_train_config_key_names_field(self):
-        with pytest.raises(ValueError, match="epoch.*train_config"):
+    # a typo, and the keys of the removed training worker pool: specs
+    # that still name them fail by name instead of silently training
+    @pytest.mark.parametrize("key", ["epoch", "train_workers",
+                                     "async_updates"])
+    def test_unknown_train_config_key_names_field(self, key):
+        with pytest.raises(ValueError, match=f"{key}.*train_config"):
             ExperimentSpec(model="lightgcn", dataset="tiny",
-                           train_config={"epoch": 3})
+                           train_config={key: 3})
 
     def test_unknown_model_name(self):
         with pytest.raises(ValueError, match="unknown model 'gpt4'"):

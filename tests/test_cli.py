@@ -126,58 +126,8 @@ class TestRecommend:
 
 
 class TestDeprecatedEntryPoints:
-    """The cmd_*-era helpers survive one release as warning wrappers."""
-
-    def test_cmd_models_warns_and_still_works(self, capsys):
-        from repro.cli import cmd_models
-        with pytest.warns(DeprecationWarning,
-                          match=r"cmd_models is deprecated.*main"):
-            assert cmd_models(None) == 0
-        assert "lightgcn" in capsys.readouterr().out
-
-    def test_cmd_train_warns_with_replacement(self, capsys):
-        import argparse
-        from repro.cli import cmd_train
-        args = argparse.Namespace(
-            model="biasmf", dataset="tiny", seed=0, dim=8, layers=2,
-            ssl_weight=1.0, temperature=0.5, edge_threshold=0.2,
-            epochs=1, batch_size=64, lr=1e-3, quiet=True, eval_every=1,
-            checkpoint=None, history=None, snapshot=None, run_dir=None)
-        with pytest.warns(DeprecationWarning,
-                          match=r"repro\.api\.Experiment\(spec\)\.run"):
-            assert cmd_train(args) == 0
-        assert "recall@20" in capsys.readouterr().out
-
-    def test_cmd_evaluate_warns_with_replacement(self, capsys):
-        import argparse
-        from repro.cli import cmd_evaluate
-        args = argparse.Namespace(
-            model="biasmf", dataset="tiny", seed=0, dim=8, layers=2,
-            ssl_weight=1.0, temperature=0.5, edge_threshold=0.2,
-            checkpoint=None, eval_chunk=None)
-        with pytest.warns(DeprecationWarning, match=r"evaluate"):
-            assert cmd_evaluate(args) == 0
-        assert "recall@20" in capsys.readouterr().out
-
-    def test_cmd_recommend_warns_with_replacement(self, tmp_path):
-        import argparse
-        from repro.cli import cmd_recommend
-        args = argparse.Namespace(
-            snapshot=str(tmp_path / "none.npz"), model=None, dataset=None,
-            users=None, k=5, workers=1, include_seen=False, output=None)
-        with pytest.warns(DeprecationWarning,
-                          match=r"repro\.api\.recommend_topk"):
-            assert cmd_recommend(args) == 2
-
-    def test_each_call_emits_exactly_one_warning(self):
-        import warnings as _warnings
-        from repro.cli import cmd_models
-        with _warnings.catch_warnings(record=True) as caught:
-            _warnings.simplefilter("always")
-            cmd_models(None)
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
+    """``main()`` — the CLI's only entry point — and the ``run``
+    command it dispatches to."""
 
     def test_main_dispatch_does_not_warn(self, capsys):
         import warnings as _warnings

@@ -81,10 +81,9 @@ def test_sweep(capsys):
 
 def test_parallel_training(capsys):
     _load_example("parallel_training").main(
-        dataset="tiny", epochs=2, batch_size=128, propagate_every=2,
-        workers=2)
+        dataset="tiny", epochs=2, batch_size=128, propagate_every=2)
     out = capsys.readouterr().out
-    assert "bit-identical to the in-process schedule" in out
+    assert "exact (K=1)" in out and "stale (K=2)" in out
     assert "epochs/sec" in out
 
 

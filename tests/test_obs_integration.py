@@ -2,14 +2,11 @@
 
 Acceptance contract of the observability PR:
 
-* a 2-epoch traced run with ``train_workers=2`` writes a schema-valid
-  Chrome-format ``trace.json`` whose spans come from **at least two
-  processes** — the parent's epoch/window spans plus the spawn workers'
-  ``train.stale_batch`` spans, merged exactly once at pool shutdown
-  (span ids stay globally unique across the merge);
-* crash and early-stop paths also merge worker spans exactly once (the
-  idempotent pool ``close()`` is the single drain point);
-* sweep traces compose the same way: sequential cells' spans land in
+* a traced ``propagate_every=2`` run writes a schema-valid
+  Chrome-format ``trace.json`` with a ``train.refresh`` and a
+  ``train.window`` span per stale window and unique span ids — also on
+  the crash and early-stop paths;
+* sweep traces merge across processes: sequential cells' spans land in
   the parent buffer directly, parallel cells ship theirs through the
   result payload and are absorbed only at collection — either way each
   cell's ``experiment.run`` span appears exactly once in the sweep's
@@ -67,70 +64,50 @@ def _assert_span_ids_unique(payload):
 
 
 # --------------------------------------------------------------------- #
-# cross-process trace merge: training pool
+# stale-window training spans
 # --------------------------------------------------------------------- #
 
-class TestTrainWorkerTraceMerge:
-    def test_traced_parallel_run_spans_two_processes(self, tmp_path):
-        """Acceptance: trace.json merges spans from >= 2 pids."""
+def _assert_window_spans(events):
+    """Refresh + window spans present, all from this one process."""
+    windows = [e for e in events if e.get("name") == "train.window"]
+    refreshes = [e for e in events if e.get("name") == "train.refresh"]
+    assert windows and refreshes
+    assert {e["pid"] for e in windows + refreshes} == {os.getpid()}
+
+
+class TestStaleWindowTrace:
+    def test_traced_stale_run_records_window_spans(self, tmp_path):
+        """A traced ``propagate_every=2`` run traces every window."""
         run_dir = str(tmp_path / "run")
-        Experiment(_spec(trace=True, propagate_every=2,
-                         train_workers=2)).run(run_dir=run_dir)
+        Experiment(_spec(trace=True, propagate_every=2)).run(
+            run_dir=run_dir)
         payload = _load_trace(os.path.join(run_dir, "trace.json"))
-
-        pids = {e["pid"] for e in _spans(payload)}
-        assert len(pids) >= 2
-
-        parent_pid = next(e["pid"] for e in _spans(payload,
-                                                   "experiment.run"))
-        worker_spans = _spans(payload, "train.stale_batch")
-        assert worker_spans, "no worker spans were merged"
-        assert all(e["pid"] != parent_pid for e in worker_spans)
-        # worker processes announce themselves by label
-        labels = {e["args"]["name"]
-                  for e in payload["traceEvents"]
-                  if e["ph"] == "M" and e["name"] == "process_name"}
-        assert any(l.startswith("train-worker-") for l in labels)
+        _assert_window_spans(_spans(payload))
+        # one refresh opens every window
+        assert len(_spans(payload, "train.window")) == \
+            len(_spans(payload, "train.refresh"))
         _assert_span_ids_unique(payload)
 
-    def test_worker_batches_appear_exactly_once(self, tmp_path):
-        """Each (worker, seq) batch span shows up once after the merge."""
-        run_dir = str(tmp_path / "run")
-        Experiment(_spec(trace=True, propagate_every=2,
-                         train_workers=2)).run(run_dir=run_dir)
-        payload = _load_trace(os.path.join(run_dir, "trace.json"))
-        keys = [(e["pid"], e["args"]["span_id"])
-                for e in _spans(payload, "train.stale_batch")]
-        assert keys
-        assert len(keys) == len(set(keys))
-
-    def test_crash_path_still_merges_worker_spans_once(self, tmp_path):
-        """A mid-fit crash drains the pool exactly once (run_cell)."""
-        spec = _spec(trace=True, propagate_every=2, train_workers=2,
-                     fail_after_epoch=1)
+    def test_crash_path_keeps_window_spans(self, tmp_path):
+        """A mid-fit crash still ships the partial trace (run_cell)."""
+        spec = _spec(trace=True, propagate_every=2, fail_after_epoch=1)
         run_dir = str(tmp_path / "run")
         result = run_cell(spec.to_dict(), run_dir=run_dir)
         assert result["status"] == "failed"
         events = result["trace_events"]
         assert events  # partial trace travels with the failure summary
-        batch_keys = [(e["pid"], e["args"]["span_id"])
-                      for e in events
-                      if e.get("name") == "train.stale_batch"]
-        assert batch_keys
-        assert len(batch_keys) == len(set(batch_keys))
+        _assert_window_spans(events)
+        keys = [(e["pid"], e["args"]["span_id"]) for e in events
+                if e.get("ph") == "X" and "span_id" in e.get("args", {})]
+        assert len(keys) == len(set(keys))
 
-    def test_early_stop_path_merges_once(self, tmp_path):
-        """Early stopping closes the pool through the same single
-        drain point as the normal path."""
+    def test_early_stop_path_keeps_unique_spans(self, tmp_path):
         run_dir = str(tmp_path / "run")
-        Experiment(_spec(trace=True, propagate_every=2, train_workers=2,
-                         epochs=6, eval_every=1,
+        Experiment(_spec(trace=True, propagate_every=2, epochs=6,
+                         eval_every=1,
                          early_stop_patience=1)).run(run_dir=run_dir)
         payload = _load_trace(os.path.join(run_dir, "trace.json"))
-        keys = [(e["pid"], e["args"]["span_id"])
-                for e in _spans(payload, "train.stale_batch")]
-        assert keys
-        assert len(keys) == len(set(keys))
+        _assert_window_spans(_spans(payload))
         _assert_span_ids_unique(payload)
 
 

@@ -11,9 +11,9 @@ The zero-copy claim, verified with real processes and ``/proc``:
   files next to the snapshot and no new ``/dev/shm`` segments, and the
   surviving processes keep answering.
 
-Follows the ``/dev/shm/psm_*`` leak-check discipline of
-``test_train_parallel.py``; Pss accounting needs ``/proc/<pid>/smaps``
-(skipped where the kernel doesn't provide it).
+New segments are detected by diffing ``/dev/shm/psm_*`` before and
+after; Pss accounting needs ``/proc/<pid>/smaps`` (skipped where the
+kernel doesn't provide it).
 """
 
 import glob

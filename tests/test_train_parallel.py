@@ -1,45 +1,45 @@
-"""Tests for the multicore training scheduler (``repro.train.parallel``).
+"""Tests for the amortized-propagation schedule (``repro.train.parallel``).
 
-Acceptance contract of the scheduler PR:
+Acceptance contract of the schedule:
 
 * ``propagate_every=1`` (the default) runs the classic loop — bit-
   identical to every previous release (also re-certified by the golden
   fingerprints in ``test_autograd_registry_parity.py``);
-* ``train_workers=N`` is bit-identical to the sequential stale schedule
-  for lightgcn / sgl / ngcf, N ∈ {1, 2, 4} — certified through
-  ``run_dir_fingerprint`` (``train_workers`` is schedule-only and
-  normalized out of the spec hash; ``propagate_every`` and
-  ``async_updates`` change the math and are NOT);
+* a stale window is exactly "refresh, then per batch
+  :func:`stale_batch_grads` + :func:`apply_stale_gradients` in batch
+  order", and its results are pinned by golden ``run_dir_fingerprint``
+  values for lightgcn / sgl / ngcf;
 * staleness is spec-visible: ``propagate_every > 1`` changes results
   *and* the fingerprint;
-* the lock-free completion-order mode runs only behind the explicit
-  ``async_updates`` opt-in;
 * resampling models (SGL, NCL) invalidate the frozen tables at every
-  ``on_epoch_start``, and the schedule composes with early stopping and
-  the ``fail_after_epoch`` fault hook without leaking workers or shm;
-* worker-side primitive-profile counters fold into
+  ``on_epoch_start``, and the schedule composes with early stopping;
+* the stale batches' primitive seconds land in
   ``FitResult.primitive_seconds``.
 """
-
-import glob
-import os
 
 import numpy as np
 import pytest
 
 from repro.api import Experiment, ExperimentSpec, run_dir_fingerprint
-from repro.autograd import SharedNDArray
+from repro.autograd import Adam
+from repro.data import BPRSampler
 from repro.models import build_model
 from repro.train import (ModelConfig, TrainConfig, Trainer,
                          config_from_dict, config_to_dict, fit_model)
-from repro.train.parallel import (StaleGradientPool, iter_window_updates,
-                                  stale_batch_grads)
-from repro.utils.threads import (BLAS_ENV_VARS, BLAS_THREADS_ENV,
-                                 apply_blas_thread_limit,
-                                 blas_thread_budget, blas_thread_limit)
+from repro.train.parallel import apply_stale_gradients, stale_batch_grads
 
 FAST = dict(epochs=2, batch_size=128, eval_every=2)
 MODEL_CFG = {"embedding_dim": 16, "num_layers": 2}
+
+#: run_dir_fingerprint of a ``propagate_every=3`` FAST run on ``tiny``
+STALE_GOLDEN_FINGERPRINTS = {
+    "lightgcn": ("88c30bd627341e89df560b9f591f4e72"
+                 "4306571d68189d1b18db125b12afb209"),
+    "sgl": ("68360dba363aefdfd00e3737660bb662"
+            "3d4a811e2978a2e9577e815ff171c151"),
+    "ngcf": ("201145cba1d67ec44ccacfcb3a2b7810"
+             "e2462b57a1423a93b8ec13b84c7d3377"),
+}
 
 
 def _fit_tables(model_name, dataset, *, seed=0, **train_overrides):
@@ -49,10 +49,6 @@ def _fit_tables(model_name, dataset, *, seed=0, **train_overrides):
     cfg = TrainConfig(**{**FAST, **train_overrides})
     result = fit_model(model, dataset, cfg, seed=seed)
     return result, model.user_emb.weight.data, model.item_emb.weight.data
-
-
-def _shm_segments():
-    return set(glob.glob("/dev/shm/psm_*"))
 
 
 # --------------------------------------------------------------------- #
@@ -78,24 +74,40 @@ class TestStaleSchedule:
         assert not np.array_equal(u1, u3)
 
     def test_stale_window_matches_manual_schedule(self, small_dataset):
-        """The in-process window twin reproduces stale_batch_grads."""
+        """One trainer epoch == the schedule written out by hand."""
+        k, num_batches, batch_size = 3, 7, 64
+        cfg = TrainConfig(epochs=1, batch_size=batch_size,
+                          batches_per_epoch=num_batches, eval_every=1,
+                          propagate_every=k)
+        trained = build_model("lightgcn", small_dataset,
+                              ModelConfig(**MODEL_CFG), seed=0)
+        Trainer(trained, small_dataset, cfg, seed=0).fit()
+
         model = build_model("lightgcn", small_dataset,
                             ModelConfig(**MODEL_CFG), seed=0)
-        su, si = model.refresh_propagation()
-        rng = np.random.default_rng(0)
-        batches = [(rng.integers(0, small_dataset.num_users, 32),
-                    rng.integers(0, small_dataset.num_items, 32),
-                    rng.integers(0, small_dataset.num_items, 32))
-                   for _ in range(3)]
+        sampler = BPRSampler(small_dataset.train, np.random.default_rng(0))
+        optimizer = Adam(model.parameters(), lr=cfg.learning_rate)
         reg = model.config.reg_weight
-        for (users, pos, neg), update in zip(
-                batches, iter_window_updates(su, si, batches, reg)):
-            loss, gu, gp, gn = stale_batch_grads(
-                su[users], si[pos], si[neg], reg)
-            assert update[3] == loss
-            np.testing.assert_array_equal(update[4], gu)
-            np.testing.assert_array_equal(update[5], gp)
-            np.testing.assert_array_equal(update[6], gn)
+        for start in range(0, num_batches, k):
+            users, pos, neg = sampler.sample(batch_size)
+            loss = model.loss(users, pos, neg)
+            optimizer.zero_grad()
+            loss.backward()
+            optimizer.step()
+            window = min(k - 1, num_batches - start - 1)
+            if window < 1:
+                continue
+            su, si = model.refresh_propagation()
+            for _ in range(window):
+                users, pos, neg = sampler.sample(batch_size)
+                _, gu, gp, gn = stale_batch_grads(su[users], si[pos],
+                                                  si[neg], reg)
+                apply_stale_gradients(model, optimizer, users, pos, neg,
+                                      gu, gp, gn)
+        np.testing.assert_array_equal(model.user_emb.weight.data,
+                                      trained.user_emb.weight.data)
+        np.testing.assert_array_equal(model.item_emb.weight.data,
+                                      trained.item_emb.weight.data)
 
     def test_stale_grads_read_only_frozen_rows(self, small_dataset):
         """The stale objective never touches live parameters."""
@@ -114,7 +126,7 @@ class TestStaleSchedule:
 
 
 # --------------------------------------------------------------------- #
-# worker parity (acceptance)
+# pinned results (acceptance)
 # --------------------------------------------------------------------- #
 
 def _spec(model, **train_overrides):
@@ -123,20 +135,15 @@ def _spec(model, **train_overrides):
                           train_config={**FAST, **train_overrides})
 
 
-@pytest.mark.parametrize("model_name", ["lightgcn", "sgl", "ngcf"])
-class TestWorkerParity:
-    def test_worker_counts_are_bit_identical(self, model_name, tmp_path):
-        """Acceptance: N ∈ {1, 2, 4} workers == sequential, per model."""
-        seq_dir = str(tmp_path / "seq")
+class TestStaleGoldenFingerprints:
+    @pytest.mark.parametrize("model_name",
+                             sorted(STALE_GOLDEN_FINGERPRINTS))
+    def test_fingerprint_is_pinned(self, model_name, tmp_path):
+        run_dir = str(tmp_path / model_name)
         Experiment(_spec(model_name, propagate_every=3)).run(
-            run_dir=seq_dir)
-        seq_fp = run_dir_fingerprint(seq_dir)
-        for n in (1, 2, 4):
-            par_dir = str(tmp_path / f"workers{n}")
-            Experiment(_spec(model_name, propagate_every=3,
-                             train_workers=n)).run(run_dir=par_dir)
-            assert run_dir_fingerprint(par_dir) == seq_fp, \
-                f"{model_name}: train_workers={n} diverged"
+            run_dir=run_dir)
+        assert run_dir_fingerprint(run_dir) == \
+            STALE_GOLDEN_FINGERPRINTS[model_name]
 
 
 class TestFingerprintSemantics:
@@ -147,13 +154,14 @@ class TestFingerprintSemantics:
         Experiment(_spec("lightgcn", propagate_every=3)).run(run_dir=b)
         assert run_dir_fingerprint(a) != run_dir_fingerprint(b)
 
-    def test_train_workers_is_schedule_only(self, tmp_path):
-        """Same run content + only train_workers in spec -> same print."""
+    def test_observability_knobs_are_normalized(self):
+        """trace / heartbeat_seconds leave the print; K stays in it."""
         from repro.api.rundir import _schedule_free_spec
-        spec = _spec("lightgcn", propagate_every=3,
-                     train_workers=2).to_dict()
+        spec = _spec("lightgcn", propagate_every=3, trace=True,
+                     heartbeat_seconds=5.0).to_dict()
         stripped = _schedule_free_spec(spec)
-        assert "train_workers" not in stripped["train_config"]
+        assert "trace" not in stripped["train_config"]
+        assert "heartbeat_seconds" not in stripped["train_config"]
         assert stripped["train_config"]["propagate_every"] == 3
         # no schedule knob present -> the dict passes through untouched
         plain = _spec("lightgcn").to_dict()
@@ -161,7 +169,7 @@ class TestFingerprintSemantics:
 
 
 # --------------------------------------------------------------------- #
-# knob validation + async opt-in
+# knob validation
 # --------------------------------------------------------------------- #
 
 class TestValidation:
@@ -172,21 +180,6 @@ class TestValidation:
             Trainer(model, small_dataset,
                     TrainConfig(**FAST, propagate_every=3))
 
-    def test_workers_require_staleness(self, small_dataset):
-        model = build_model("lightgcn", small_dataset,
-                            ModelConfig(**MODEL_CFG), seed=0)
-        with pytest.raises(ValueError, match="propagate_every"):
-            Trainer(model, small_dataset,
-                    TrainConfig(**FAST, train_workers=2))
-
-    def test_async_requires_workers(self, small_dataset):
-        model = build_model("lightgcn", small_dataset,
-                            ModelConfig(**MODEL_CFG), seed=0)
-        with pytest.raises(ValueError, match="train_workers"):
-            Trainer(model, small_dataset,
-                    TrainConfig(**FAST, propagate_every=3,
-                                async_updates=True))
-
     def test_propagate_every_must_be_positive(self, small_dataset):
         model = build_model("lightgcn", small_dataset,
                             ModelConfig(**MODEL_CFG), seed=0)
@@ -194,38 +187,23 @@ class TestValidation:
             Trainer(model, small_dataset,
                     TrainConfig(**FAST, propagate_every=0))
 
-    def test_async_mode_runs_behind_opt_in(self, small_dataset):
-        result, u, _ = _fit_tables("lightgcn", small_dataset,
-                                   propagate_every=3, train_workers=2,
-                                   async_updates=True)
-        assert len(result.history) == FAST["epochs"]
-        assert np.isfinite(u).all()
-        assert all(np.isfinite(r.loss) for r in result.history)
-
 
 class TestSpecRoundTrip:
     def test_train_config_round_trips_scheduler_knobs(self):
-        cfg = TrainConfig(**FAST, propagate_every=4, train_workers=2,
-                          async_updates=True)
+        cfg = TrainConfig(**FAST, propagate_every=4)
         clone = config_from_dict(TrainConfig, config_to_dict(cfg))
         assert clone.propagate_every == 4
-        assert clone.train_workers == 2
-        assert clone.async_updates is True
         assert clone == cfg
 
     def test_experiment_spec_round_trips_scheduler_knobs(self):
-        spec = _spec("lightgcn", propagate_every=4, train_workers=2,
-                     async_updates=True)
+        spec = _spec("lightgcn", propagate_every=4)
         clone = ExperimentSpec.from_dict(spec.to_dict())
         assert clone == spec
-        train = clone.to_dict()["train_config"]
-        assert train["propagate_every"] == 4
-        assert train["train_workers"] == 2
-        assert train["async_updates"] is True
+        assert clone.to_dict()["train_config"]["propagate_every"] == 4
 
 
 # --------------------------------------------------------------------- #
-# epoch hooks: resampling models, early stopping, fault injection
+# epoch hooks: resampling models, early stopping
 # --------------------------------------------------------------------- #
 
 class TestScheduleInteractions:
@@ -257,169 +235,18 @@ class TestScheduleInteractions:
         result = Trainer(model, small_dataset, cfg, seed=0).fit()
         assert len(result.history) < 50
 
-    def test_early_stopping_closes_worker_pool(self, small_dataset):
-        before = _shm_segments()
-        model = build_model("lightgcn", small_dataset,
-                            ModelConfig(**MODEL_CFG), seed=0)
-        cfg = TrainConfig(epochs=50, batch_size=128, eval_every=1,
-                          early_stop_patience=2, propagate_every=3,
-                          train_workers=2)
-        result = Trainer(model, small_dataset, cfg, seed=0).fit()
-        assert len(result.history) < 50
-        assert _shm_segments() <= before      # no leaked segments
-
-    def test_fail_after_epoch_cleans_up_pool(self, small_dataset):
-        """The fault hook fires mid-fit; workers and shm still go away."""
-        before = _shm_segments()
-        model = build_model("lightgcn", small_dataset,
-                            ModelConfig(**MODEL_CFG), seed=0)
-        cfg = TrainConfig(epochs=5, batch_size=128, eval_every=5,
-                          propagate_every=3, train_workers=2,
-                          fail_after_epoch=1)
-        with pytest.raises(RuntimeError, match="injected"):
-            Trainer(model, small_dataset, cfg, seed=0).fit()
-        assert _shm_segments() <= before
-
-
-# --------------------------------------------------------------------- #
-# the pool itself
-# --------------------------------------------------------------------- #
-
-class TestStaleGradientPool:
-    def test_profile_counters_cross_the_process_boundary(self):
-        """Satellite: workers ship primitive counters at shutdown."""
-        rng = np.random.default_rng(0)
-        su = rng.normal(size=(20, 8))
-        si = rng.normal(size=(30, 8))
-        pool = StaleGradientPool(workers=2, num_users=20, num_items=30,
-                                 dim=8, dtype=np.float64, batch_size=16,
-                                 max_window=4, reg_weight=1e-4,
-                                 profile=True)
-        try:
-            pool.push_tables(su, si)
-            batches = [(rng.integers(0, 20, 16), rng.integers(0, 30, 16),
-                        rng.integers(0, 30, 16)) for _ in range(4)]
-            updates = list(pool.run_window(batches))
-            assert len(updates) == 4
-        finally:
-            profile = pool.close()
-        assert profile                         # workers did report
-        assert any(entry["calls"] > 0 for entry in profile.values())
-        assert pool.close() == {}              # idempotent
-
-    def test_ordered_window_matches_in_process(self):
-        rng = np.random.default_rng(1)
-        su = rng.normal(size=(20, 8))
-        si = rng.normal(size=(30, 8))
-        batches = [(rng.integers(0, 20, 16), rng.integers(0, 30, 16),
-                    rng.integers(0, 30, 16)) for _ in range(5)]
-        pool = StaleGradientPool(workers=3, num_users=20, num_items=30,
-                                 dim=8, dtype=np.float64, batch_size=16,
-                                 max_window=5, reg_weight=1e-4)
-        try:
-            pool.push_tables(su, si)
-            pooled = [tuple(np.copy(part) if isinstance(part, np.ndarray)
-                            else part for part in update)
-                      for update in pool.run_window(batches)]
-        finally:
-            pool.close()
-        for ours, ref in zip(pooled,
-                             iter_window_updates(su, si, batches, 1e-4)):
-            assert ours[3] == ref[3]
-            for got, want in zip(ours[4:], ref[4:]):
-                np.testing.assert_array_equal(got, want)
-
-    def test_worker_error_surfaces_in_parent(self):
-        pool = StaleGradientPool(workers=1, num_users=10, num_items=10,
-                                 dim=4, dtype=np.float64, batch_size=8,
-                                 max_window=1, reg_weight=0.0)
-        try:
-            pool.push_tables(np.zeros((10, 4)), np.zeros((10, 4)))
-            bad = [(np.array([999]), np.array([0]), np.array([0]))]
-            with pytest.raises(RuntimeError, match="training worker"):
-                list(pool.run_window(bad))
-        finally:
-            pool.close()
-
-    def test_rejects_zero_workers(self):
-        with pytest.raises(ValueError, match="worker"):
-            StaleGradientPool(workers=0, num_users=4, num_items=4,
-                              dim=2, dtype=np.float64, batch_size=4,
-                              max_window=1, reg_weight=0.0)
-
 
 class TestProfileAggregation:
-    def test_fit_folds_worker_seconds_in(self, small_dataset):
+    def test_stale_fit_reports_primitive_seconds(self, small_dataset):
         from repro.autograd import enable_primitive_profiling
         enable_primitive_profiling(True)
         try:
             result, _, _ = _fit_tables("lightgcn", small_dataset,
-                                       propagate_every=3, train_workers=2)
+                                       propagate_every=3)
         finally:
             enable_primitive_profiling(False)
-        # stale batches (softplus inside bpr, mul) ran in the workers;
-        # their seconds must appear in the merged per-primitive view
+        # exact and stale batches (softplus inside bpr) and the
+        # refreshes (spmm) all run in this process
         assert result.primitive_seconds.get("softplus", 0.0) > 0.0
         assert result.primitive_seconds.get("spmm", 0.0) > 0.0
-
-
-# --------------------------------------------------------------------- #
-# shared-memory + BLAS-budget plumbing
-# --------------------------------------------------------------------- #
-
-class TestSharedNDArray:
-    def test_create_attach_roundtrip(self):
-        owner = SharedNDArray.create((3, 4), np.float32)
-        owner.array[...] = np.arange(12, dtype=np.float32).reshape(3, 4)
-        spec = owner.spec()
-        view = SharedNDArray.attach(spec)
-        np.testing.assert_array_equal(view.array, owner.array)
-        view.array[0, 0] = -1.0               # one allocation, two views
-        assert owner.array[0, 0] == -1.0
-        view.close()
-        owner.close()
-        with pytest.raises(FileNotFoundError):
-            SharedNDArray.attach(spec)        # owner close unlinked it
-
-    def test_create_copies_initial_table(self):
-        table = np.arange(6, dtype=np.float64).reshape(2, 3)
-        shared = SharedNDArray.create(table.shape, table.dtype,
-                                      copy_from=table)
-        try:
-            np.testing.assert_array_equal(shared.array, table)
-            table[0, 0] = 99.0                # copy, not a view
-            assert shared.array[0, 0] == 0.0
-        finally:
-            shared.close()
-
-    def test_close_is_idempotent(self):
-        shared = SharedNDArray.create((2,), np.float64)
-        shared.close()
-        shared.close()
-
-
-class TestBlasThreadBudget:
-    def test_env_override_wins(self, monkeypatch):
-        monkeypatch.setenv(BLAS_THREADS_ENV, "3")
-        assert blas_thread_budget(workers=8) == 3
-
-    def test_budget_divides_cores(self, monkeypatch):
-        monkeypatch.delenv(BLAS_THREADS_ENV, raising=False)
-        budget = blas_thread_budget(workers=10 ** 6)
-        assert budget == 1                    # floor is one thread
-
-    def test_limit_sets_and_restores_env(self, monkeypatch):
-        monkeypatch.setenv("OMP_NUM_THREADS", "7")
-        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-        with blas_thread_limit(2):
-            for var in BLAS_ENV_VARS:
-                assert os.environ[var] == "2"
-        assert os.environ["OMP_NUM_THREADS"] == "7"
-        assert "MKL_NUM_THREADS" not in os.environ
-
-    def test_apply_is_persistent(self, monkeypatch):
-        for var in BLAS_ENV_VARS:
-            monkeypatch.delenv(var, raising=False)
-        apply_blas_thread_limit(2)
-        for var in BLAS_ENV_VARS:
-            assert os.environ[var] == "2"
+        assert result.spmm_seconds > 0.0

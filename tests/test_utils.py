@@ -1,11 +1,15 @@
-"""Tests for the shared utilities (registry, rng, timer)."""
+"""Tests for the shared utilities (registry, rng, timer, BLAS threads)."""
 
+import os
 import time
 
 import numpy as np
 import pytest
 
 from repro.utils import Registry, Timer, seeded_rng, spawn_rngs
+from repro.utils.threads import (BLAS_ENV_VARS, BLAS_THREADS_ENV,
+                                 apply_blas_thread_limit,
+                                 blas_thread_budget, blas_thread_limit)
 
 
 class TestRegistry:
@@ -91,3 +95,30 @@ class TestTimer:
         with timer:
             time.sleep(0.001)
         assert timer.total > 0.0
+
+
+class TestBlasThreadBudget:
+    def test_env_override_wins(self, monkeypatch):
+        monkeypatch.setenv(BLAS_THREADS_ENV, "3")
+        assert blas_thread_budget(workers=8) == 3
+
+    def test_budget_divides_cores(self, monkeypatch):
+        monkeypatch.delenv(BLAS_THREADS_ENV, raising=False)
+        budget = blas_thread_budget(workers=10 ** 6)
+        assert budget == 1                    # floor is one thread
+
+    def test_limit_sets_and_restores_env(self, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "7")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        with blas_thread_limit(2):
+            for var in BLAS_ENV_VARS:
+                assert os.environ[var] == "2"
+        assert os.environ["OMP_NUM_THREADS"] == "7"
+        assert "MKL_NUM_THREADS" not in os.environ
+
+    def test_apply_is_persistent(self, monkeypatch):
+        for var in BLAS_ENV_VARS:
+            monkeypatch.delenv(var, raising=False)
+        apply_blas_thread_limit(2)
+        for var in BLAS_ENV_VARS:
+            assert os.environ[var] == "2"
