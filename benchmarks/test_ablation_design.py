@@ -1,7 +1,7 @@
-"""Ablations of this reproduction's own design choices (DESIGN.md Sec 5).
+"""Ablations of this reproduction's own design choices.
 
-Beyond the paper's ablations (Fig 2), DESIGN.md calls out three
-substrate-level decisions worth quantifying:
+Beyond the paper's ablations (Fig 2), three substrate-level decisions of
+this reproduction are worth quantifying:
 
 * the negative-sample ratio ``r`` of the decomposed contrastive loss
   (Sec III-D.1): at miniature scale the alignment-dominant setting must

@@ -11,8 +11,8 @@ Asserted shape: GraphAug captures personalized preferences at least as
 well as the baselines (Recall@20) while keeping a non-degenerate
 distribution (finite uniformity, non-zero spread).  The raw uniformity
 *ordering* is reported but not asserted: on miniature data the ranking
-objective itself prefers cone-shaped (low-uniformity) solutions — see
-EXPERIMENTS.md.
+objective itself prefers cone-shaped (low-uniformity) solutions, so the
+ordering reflects the data scale more than the model.
 """
 
 import numpy as np

@@ -51,7 +51,8 @@ def test_table2_overall_comparison(benchmark):
     # recommender.  NCF, AutoRec and GC-MC are excluded from the "best
     # baseline" max because their dense per-node transforms memorize
     # 2k-interaction miniatures in ways the paper's 50k-user corpora do
-    # not allow — see EXPERIMENTS.md "systematic deviations".
+    # not allow, a systematic deviation of the miniature data rather
+    # than a property of those models.
     graph_family = tuple(m for m in MODELS
                          if m not in ("ncf", "autorec", "gcmc", "biasmf",
                                       "graphaug"))

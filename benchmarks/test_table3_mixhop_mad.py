@@ -11,8 +11,7 @@ Two MAD probes are reported here:
   directly and is asserted;
 * **trained-model MAD** — the metric on trained embeddings.  On miniature
   datasets the ranking objective itself induces a popularity cone that
-  dominates raw MAD, so this number is reported but not asserted; see
-  EXPERIMENTS.md for the discussion.
+  dominates raw MAD, so this number is reported but not asserted.
 """
 
 import numpy as np

@@ -1,9 +1,9 @@
 """Table VII — MAD values of GraphAug vs NCL vs LightGCN.
 
 The paper reports GraphAug with the highest MAD (least over-smoothed) and
-LightGCN the lowest, alongside their Recall/NDCG@20.  As discussed in
-EXPERIMENTS.md, on miniature synthetic data the *raw* trained-model MAD is
-dominated by the popularity cone, so this bench reports raw MAD plus the
+LightGCN the lowest, alongside their Recall/NDCG@20.  On miniature
+synthetic data the *raw* trained-model MAD is dominated by the popularity
+cone the ranking objective induces, so this bench reports raw MAD plus the
 same architectural depth probe as Table III, and asserts (a) the
 architectural direction and (b) the recall ordering.
 """

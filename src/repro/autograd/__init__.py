@@ -5,23 +5,22 @@ Public surface:
 * :class:`Tensor`, :func:`concat`, :func:`stack`, :func:`where`,
   :class:`no_grad` — the core array type and graph ops.
 * :mod:`repro.autograd.primitives` — the open primitive/VJP registry every
-  op is defined through: :func:`primitive` / :func:`defvjp` / :func:`defimpl`,
-  per-op backend selection (:class:`use_backend`) and the thread-safe
+  op is defined through: :func:`primitive` / :func:`defvjp`, the scoped
+  fused-kernel switch (:func:`fused_kernels`) and the thread-safe
   per-primitive profiler (:func:`primitive_profile`).
 * :mod:`repro.autograd.functional` — losses (BPR, InfoNCE, Gaussian KL, ...).
 * :class:`Module` / :class:`Parameter` / layers — the nn building blocks.
 * Optimizers: :class:`SGD`, :class:`Adam`, :class:`AdamW`.
 * :func:`spmm` / :func:`weighted_spmm` — sparse propagation primitives.
-* :mod:`repro.autograd.fused` — opt-in fused hot-path kernels
-  (:func:`fused_bpr_loss`, :func:`fused_bpr_scores`, :func:`light_propagate`).
+* :mod:`repro.autograd.fused` — fused hot-path kernels
+  (:func:`fused_bpr_loss`, :func:`fused_bpr_scores`, :func:`light_propagate`),
+  used by the models inside :func:`fused_kernels`.
 * :func:`gradcheck` — finite-difference certification used by the tests.
 """
 
-from .primitives import (primitive, defvjp, defimpl, get_primitive,
+from .primitives import (primitive, defvjp, get_primitive,
                          list_primitives, unregister_primitive,
-                         set_default_backend, set_primitive_backend,
-                         selected_backend, use_backend,
-                         fused_kernels_enabled, configure_from_env,
+                         fused_kernels, fused_kernels_enabled,
                          enable_primitive_profiling,
                          reset_primitive_profile, primitive_profile,
                          primitive_profiling_enabled)
@@ -32,8 +31,7 @@ from .tensor import (Tensor, as_tensor, cast_like, concat, stack, where,
 from .module import Module, Parameter, Linear, MLP, Embedding, Sequential
 from .optim import SGD, Adam, AdamW, ExponentialLR, Optimizer
 from .sparse import (spmm, weighted_spmm, coo_from_scipy,
-                     clear_sparse_caches, enable_spmm_profiling,
-                     reset_spmm_profile, spmm_profile, SPMM_PRIMITIVES)
+                     clear_sparse_caches, SPMM_PRIMITIVES)
 from .fused import fused_bpr_loss, fused_bpr_scores, light_propagate
 from .gradcheck import gradcheck, numerical_gradient
 from . import functional
@@ -44,17 +42,14 @@ __all__ = [
     "zeros", "ones",
     "no_grad", "is_grad_enabled", "unbroadcast",
     "default_dtype", "get_default_dtype", "set_default_dtype",
-    "primitive", "defvjp", "defimpl", "get_primitive", "list_primitives",
-    "unregister_primitive",
-    "set_default_backend", "set_primitive_backend", "selected_backend",
-    "use_backend", "fused_kernels_enabled", "configure_from_env",
+    "primitive", "defvjp", "get_primitive", "list_primitives",
+    "unregister_primitive", "fused_kernels", "fused_kernels_enabled",
     "enable_primitive_profiling", "reset_primitive_profile",
     "primitive_profile", "primitive_profiling_enabled",
     "Module", "Parameter", "Linear", "MLP", "Embedding", "Sequential",
     "SGD", "Adam", "AdamW", "ExponentialLR", "Optimizer",
     "spmm", "weighted_spmm", "coo_from_scipy",
-    "clear_sparse_caches", "enable_spmm_profiling", "reset_spmm_profile",
-    "spmm_profile", "SPMM_PRIMITIVES",
+    "clear_sparse_caches", "SPMM_PRIMITIVES",
     "fused_bpr_loss", "fused_bpr_scores", "light_propagate",
     "scatter_rows",
     "gradcheck", "numerical_gradient",

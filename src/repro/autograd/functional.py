@@ -44,10 +44,11 @@ def bpr_loss(pos_scores: Tensor, neg_scores: Tensor) -> Tensor:
 
     ``-mean(log sigmoid(pos - neg))`` over sampled ``(u, v+, v-)`` triplets.
     Routes through the one-node :func:`repro.autograd.fused
-    .fused_bpr_scores` kernel when its ``fused`` backend is selected
-    (equal within float tolerance; the composed graph stays the default).
+    .fused_bpr_scores` kernel inside :func:`~repro.autograd.primitives
+    .fused_kernels` (equal within float tolerance; the composed graph
+    stays the default).
     """
-    if fused_kernels_enabled("fused_bpr_scores"):
+    if fused_kernels_enabled():
         return fused_bpr_scores(pos_scores, neg_scores)
     return -(pos_scores - neg_scores).logsigmoid().mean()
 

@@ -11,10 +11,9 @@ exists to provide.
 All three kernels are **opt-in**: the default tape keeps the composed
 (bit-reproducible) graph, and high-level consumers
 (``Recommender.bpr_loss``, ``light_gcn_propagate``,
-``functional.bpr_loss``) switch to the fused node only when the
-``fused`` backend is selected for it — via
-``TrainConfig.autograd_backend``, :class:`~repro.autograd.primitives
-.use_backend` or the ``REPRO_AUTOGRAD_BACKEND`` env knob.  Forward
+``functional.bpr_loss``) switch to the fused nodes only inside
+:func:`~repro.autograd.primitives.fused_kernels` — which
+``TrainConfig(autograd_backend="fused")`` enters for a fit.  Forward
 values match the composed path bit-for-bit (:func:`light_propagate`)
 or to float tolerance (the BPR kernels reorder the dot-product
 reduction); gradients differ only by accumulation order, which is why

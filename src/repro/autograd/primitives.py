@@ -35,61 +35,39 @@ kernels use to precompute backward work during the forward pass.  A VJP
 for a *list-valued* argument (``concat``/``stack``) returns one gradient
 per list element.
 
-Backend table
+Fused kernels
 -------------
-A primitive may carry several implementations keyed by backend name
-(``reference`` is the required default; register others with
-:func:`defimpl`).  Selection is per-primitive with a global default:
-
->>> from repro.autograd.primitives import (defimpl, use_backend,
-...                                        selected_backend)
->>> twice = primitive("twice_example")(lambda x: x * 2.0)
->>> defvjp("twice_example", lambda g, ans, x: g * 2.0)
->>> _ = defimpl("twice_example", "turbo")(lambda x: x + x)
->>> with use_backend("turbo"):
-...     selected_backend("twice_example")
-'turbo'
->>> selected_backend("twice_example")   # back to the default
-'reference'
->>> unregister_primitive("twice_example")  # doctest cleanup
-
-The ``REPRO_AUTOGRAD_BACKEND`` environment variable seeds the table at
-import time: a bare backend name (``fused``) sets the global default, and
-comma-separated ``primitive=backend`` pairs set per-op overrides
-(``fused_bpr_loss=fused,light_propagate=reference``).  A primitive
-without an implementation for the selected backend falls back to
-``reference``, so a global ``fused`` default only affects ops that
-actually ship a fused variant.
+Every primitive has exactly one implementation.  The one choice the
+tape offers is whether the high-level consumers (``Recommender
+.bpr_loss``, ``light_gcn_propagate``, ``functional.bpr_loss`` and the
+stale-window trainer) build the composed graph or call the one-node
+fused kernels of :mod:`repro.autograd.fused`; :func:`fused_kernels`
+scopes that switch to a block and :func:`fused_kernels_enabled` reads
+it.  ``TrainConfig(autograd_backend="fused")`` enters it for a fit.
 
 Profiling
 ---------
 :func:`enable_primitive_profiling` turns on wall-clock accounting of
 every primitive application — forward and each VJP call — aggregated per
-primitive name under a lock (safe under the sharded serving executor,
-unlike the module-level spmm counters this replaces).
-:func:`primitive_profile` returns ``{name: {"seconds", "calls"}}``; the
-legacy ``spmm_profile`` view in :mod:`repro.autograd.sparse` derives from
-it.
+primitive name under a lock (safe under the sharded serving executor).
+:func:`primitive_profile` returns ``{name: {"seconds", "calls"}}``.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
+from contextlib import contextmanager
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 __all__ = [
-    "Primitive", "Node", "primitive", "defvjp", "defimpl",
+    "Primitive", "Node", "primitive", "defvjp",
     "get_primitive", "list_primitives", "unregister_primitive",
-    "set_default_backend", "set_primitive_backend", "selected_backend",
-    "use_backend", "fused_kernels_enabled",
+    "fused_kernels", "fused_kernels_enabled",
     "enable_primitive_profiling", "reset_primitive_profile",
     "primitive_profile", "primitive_profiling_enabled",
     "is_grad_enabled", "set_grad_enabled",
 ]
-
-REFERENCE_BACKEND = "reference"
 
 _REGISTRY: Dict[str, "Primitive"] = {}
 
@@ -172,110 +150,43 @@ def _profile_add(name: str, seconds: float) -> None:
 
 
 # --------------------------------------------------------------------- #
-# backend selection
+# fused-kernel switch
 # --------------------------------------------------------------------- #
 
-_default_backend = REFERENCE_BACKEND
-_backend_overrides: Dict[str, str] = {}
+_fused_enabled = False
 
 
-def set_default_backend(backend: str) -> None:
-    """Set the backend every primitive prefers absent a per-op override."""
-    global _default_backend
-    _default_backend = str(backend)
+def fused_kernels_enabled() -> bool:
+    """True inside a :func:`fused_kernels` block that switched them on.
 
-
-def set_primitive_backend(name: str, backend: Optional[str]) -> None:
-    """Pin one primitive to ``backend`` (``None`` clears the override)."""
-    if backend is None:
-        _backend_overrides.pop(name, None)
-    else:
-        _backend_overrides[name] = str(backend)
-
-
-def selected_backend(name: str) -> str:
-    """The backend currently *selected* for primitive ``name``.
-
-    This is the configured preference; resolution at call time falls back
-    to ``reference`` when the primitive has no implementation registered
-    under the selected name.
+    The high-level consumers of the fused kernels gate on this: outside
+    such a block they build the composed (bit-reproducible) graph.
     """
-    return _backend_overrides.get(name, _default_backend)
+    return _fused_enabled
 
 
-def fused_kernels_enabled(name: str) -> bool:
-    """True when ``name``'s selected backend is ``"fused"``.
+@contextmanager
+def fused_kernels(enabled: bool = True):
+    """Scope the fused-kernel switch to a block, restoring it on exit.
 
-    The high-level consumers of the fused kernels (``Recommender.
-    bpr_loss``, ``light_gcn_propagate``, ``functional.bpr_loss``) gate on
-    this: the default tape stays the bit-reproducible composed graph, and
-    selecting the ``fused`` backend — via :func:`use_backend`,
-    :func:`set_primitive_backend`, ``TrainConfig.autograd_backend`` or
-    ``REPRO_AUTOGRAD_BACKEND`` — routes them through the one-node fused
-    primitives instead.
+    ``Trainer.fit`` enters this for ``TrainConfig(autograd_backend=
+    "fused")``; gradients then differ from the composed graph by
+    accumulation order only.
+
+    >>> from repro.autograd import fused_kernels, fused_kernels_enabled
+    >>> with fused_kernels():
+    ...     fused_kernels_enabled()
+    True
+    >>> fused_kernels_enabled()
+    False
     """
-    return selected_backend(name) == "fused"
-
-
-class use_backend:
-    """Context manager scoping backend selection to a block.
-
-    ``use_backend("fused")`` swaps the global default;
-    ``use_backend("fused", primitives=("spmm",))`` overrides just those
-    primitives.  Previous selections are restored on exit.
-
-    >>> from repro.autograd import use_backend, selected_backend
-    >>> with use_backend("fused", primitives=("light_propagate",)):
-    ...     (selected_backend("light_propagate"), selected_backend("spmm"))
-    ('fused', 'reference')
-    >>> selected_backend("light_propagate")
-    'reference'
-    """
-
-    def __init__(self, backend: str,
-                 primitives: Optional[Sequence[str]] = None):
-        self._backend = backend
-        self._primitives = tuple(primitives) if primitives else None
-
-    def __enter__(self):
-        if self._primitives is None:
-            self._prev = _default_backend
-            set_default_backend(self._backend)
-        else:
-            self._prev = {name: _backend_overrides.get(name)
-                          for name in self._primitives}
-            for name in self._primitives:
-                set_primitive_backend(name, self._backend)
-        return self
-
-    def __exit__(self, *exc):
-        if self._primitives is None:
-            set_default_backend(self._prev)
-        else:
-            for name, prev in self._prev.items():
-                set_primitive_backend(name, prev)
-        return False
-
-
-def configure_from_env(spec: Optional[str] = None) -> None:
-    """Apply a ``REPRO_AUTOGRAD_BACKEND``-style selection string.
-
-    A bare backend name sets the global default; ``prim=backend`` pairs
-    (comma-separated, mixable with the bare form) set per-op overrides::
-
-        REPRO_AUTOGRAD_BACKEND=fused
-        REPRO_AUTOGRAD_BACKEND=fused_bpr_loss=fused,light_propagate=fused
-    """
-    if spec is None:
-        spec = os.environ.get("REPRO_AUTOGRAD_BACKEND", "")
-    for entry in (part.strip() for part in spec.split(",")):
-        if not entry:
-            continue
-        if "=" in entry:
-            name, backend = entry.split("=", 1)
-            set_primitive_backend(name.strip(), backend.strip())
-        else:
-            set_default_backend(entry)
+    global _fused_enabled
+    previous = _fused_enabled
+    _fused_enabled = bool(enabled)
+    try:
+        yield
+    finally:
+        _fused_enabled = previous
 
 
 # --------------------------------------------------------------------- #
@@ -283,34 +194,25 @@ def configure_from_env(spec: Optional[str] = None) -> None:
 # --------------------------------------------------------------------- #
 
 class Primitive:
-    """A named differentiable operation: forward impls + per-arg VJPs.
+    """A named differentiable operation: one forward impl + per-arg VJPs.
 
     Instances are callable — applying one to a mix of Tensors and plain
-    values runs the selected forward implementation on the raw arrays and
+    values runs the forward implementation on the raw arrays and
     (when grad is enabled and any Tensor argument requires grad) records
     a generic :class:`Node` on the tape.  Construct via :func:`primitive`
     rather than directly.
     """
 
-    __slots__ = ("name", "impls", "vjps", "residuals", "__weakref__")
+    __slots__ = ("name", "impl", "vjps", "residuals", "__weakref__")
 
     def __init__(self, name: str, impl: Callable, residuals: bool = False):
         self.name = name
-        self.impls: Dict[str, Callable] = {REFERENCE_BACKEND: impl}
+        self.impl = impl
         self.vjps: Dict[int, Callable] = {}
         self.residuals = bool(residuals)
 
     def __repr__(self) -> str:
-        return (f"Primitive({self.name!r}, "
-                f"backends={sorted(self.impls)}, "
-                f"vjp_args={sorted(self.vjps)})")
-
-    def impl(self) -> Callable:
-        """The forward implementation for the currently selected backend."""
-        chosen = self.impls.get(selected_backend(self.name))
-        if chosen is None:
-            chosen = self.impls[REFERENCE_BACKEND]
-        return chosen
+        return f"Primitive({self.name!r}, vjp_args={sorted(self.vjps)})"
 
     def __call__(self, *args, **kwargs):
         return _apply(self, args, kwargs)
@@ -392,20 +294,6 @@ def defvjp(prim: "Primitive | str", *vjps: Optional[Callable],
             resolved.vjps[pos] = vjp
 
 
-def defimpl(prim: "Primitive | str", backend: str):
-    """Register an alternate forward implementation (decorator).
-
-    The new backend must honour the primitive's ``residuals`` contract
-    and produce outputs its registered VJPs remain valid for.
-    """
-    resolved = get_primitive(prim) if isinstance(prim, str) else prim
-
-    def register(impl: Callable) -> Callable:
-        resolved.impls[str(backend)] = impl
-        return impl
-    return register
-
-
 def get_primitive(name: str) -> Primitive:
     """Look up a registered primitive by name (KeyError with the roster)."""
     try:
@@ -457,7 +345,7 @@ def _apply(prim: Primitive, args: tuple, kwargs: dict):
             vals.append(arg)
     vals = tuple(vals)
 
-    impl = prim.impl()
+    impl = prim.impl
     if _profile_enabled:
         start = time.perf_counter()
         out = impl(*vals, **kwargs)
@@ -513,6 +401,3 @@ def backpropagate(tensor) -> None:
                 list_grads[pos] = out
                 grad = out[sub]
         parent._accumulate(grad)
-
-
-configure_from_env()

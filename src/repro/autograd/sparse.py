@@ -15,9 +15,8 @@ Two primitives cover everything the graph encoders need:
 
 Both are registered primitives (:mod:`repro.autograd.primitives`): their
 forwards and VJPs live in the same registry as the dense ops, so the
-per-primitive profiler and backend table cover them, and the fused
-``light_propagate`` kernel (:mod:`repro.autograd.fused`) builds on the
-same caches.
+per-primitive profiler covers them, and the fused ``light_propagate``
+kernel (:mod:`repro.autograd.fused`) builds on the same caches.
 
 Operand caching
 ---------------
@@ -37,11 +36,8 @@ time if done naively:
   duplicate coordinates fall back to the exact scipy conversion (which
   sums duplicates).
 
-Wall-clock spent inside the sparse matmuls can be profiled with
-:func:`enable_spmm_profiling` / :func:`spmm_profile` — now thin views
-over the per-primitive profile registry, summed across the SPMM family
-(:data:`SPMM_PRIMITIVES`); the bench harness uses this for the
-``BENCH_hotpath.json`` artifact.
+:data:`SPMM_PRIMITIVES` names the sparse-matmul family whose
+per-primitive profile entries ``FitResult.spmm_seconds`` sums.
 """
 
 from __future__ import annotations
@@ -52,51 +48,11 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from . import primitives as _prims
 from .primitives import defvjp, primitive
 from .tensor import Tensor, as_tensor
 
-#: primitives whose wall-clock the legacy spmm profile view aggregates
+#: primitives whose wall-clock ``FitResult.spmm_seconds`` sums
 SPMM_PRIMITIVES = ("spmm", "weighted_spmm", "light_propagate")
-
-
-# --------------------------------------------------------------------- #
-# profiling (views over the per-primitive registry)
-# --------------------------------------------------------------------- #
-
-def enable_spmm_profiling(enabled: bool = True) -> None:
-    """Toggle wall-clock accounting of every sparse matmul (fwd + bwd).
-
-    Back-compat alias for :func:`repro.autograd.primitives
-    .enable_primitive_profiling` — profiling is now per-primitive, so
-    enabling it times every registered op, not just the spmm family.
-    """
-    _prims.enable_primitive_profiling(enabled)
-
-
-def reset_spmm_profile() -> None:
-    """Zero the accumulated counters of the SPMM-family primitives."""
-    _prims.reset_primitive_profile(SPMM_PRIMITIVES)
-
-
-def spmm_profile() -> Dict[str, float]:
-    """Return ``{"seconds", "calls", "enabled"}`` summed over the family.
-
-    Derived from :func:`repro.autograd.primitives.primitive_profile`,
-    aggregating the :data:`SPMM_PRIMITIVES` entries; forward applications
-    and VJP invocations each count as one call, preserving the historical
-    fwd+bwd call accounting.
-    """
-    profile = _prims.primitive_profile()
-    seconds = 0.0
-    calls = 0
-    for name in SPMM_PRIMITIVES:
-        entry = profile.get(name)
-        if entry is not None:
-            seconds += entry["seconds"]
-            calls += int(entry["calls"])
-    return {"enabled": _prims.primitive_profiling_enabled(),
-            "seconds": seconds, "calls": calls}
 
 
 # --------------------------------------------------------------------- #

@@ -48,8 +48,8 @@ def normalized_edge_weights(rows: np.ndarray, cols: np.ndarray,
     Degrees are the weighted degrees induced by ``weights`` over the COO
     pattern.  This is how the augmented graphs ``G'``/``G''`` are normalized:
     degrees are computed from the *current* (detached) soft edge weights so
-    gradients flow through the edge weights but not the normalizer — see
-    DESIGN.md "Detached degree normalization".
+    gradients flow through the edge weights but not the normalizer, which
+    the backward pass treats as a constant.
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)

@@ -252,15 +252,15 @@ class Recommender(Module):
         """Pairwise ranking loss (paper Eq 15) on propagated embeddings.
 
         Routes the whole triplet pipeline through the one-node
-        :func:`repro.autograd.fused.fused_bpr_loss` kernel when its
-        ``fused`` backend is selected (spec-visible via
-        ``TrainConfig.autograd_backend``); the composed score graph
+        :func:`repro.autograd.fused.fused_bpr_loss` kernel inside
+        :func:`~repro.autograd.primitives.fused_kernels` (spec-visible
+        via ``TrainConfig.autograd_backend``); the composed score graph
         stays the bit-reproducible default.
         """
         u = user_final.take_rows(users)
         vp = item_final.take_rows(pos)
         vn = item_final.take_rows(neg)
-        if fused_kernels_enabled("fused_bpr_loss"):
+        if fused_kernels_enabled():
             return fused_bpr_loss(u, vp, vn)
         pos_scores = (u * vp).sum(axis=1)
         neg_scores = (u * vn).sum(axis=1)
@@ -328,12 +328,12 @@ def light_gcn_propagate(norm_adj: sp.csr_matrix, ego: Tensor,
     or nonlinearity — the workhorse encoder for LightGCN, SGL, NCL, HCCF
     and the "w/o Mixhop" GraphAug ablation.
 
-    When the ``fused`` backend is selected for ``light_propagate`` the
-    loop collapses into that single propagate-and-pool tape node
-    (bit-identical forward; gradient accumulation order differs, which
-    is why it is opt-in).
+    Inside :func:`~repro.autograd.primitives.fused_kernels` the loop
+    collapses into the single ``light_propagate`` propagate-and-pool
+    tape node (bit-identical forward; gradient accumulation order
+    differs, which is why it is opt-in).
     """
-    if fused_kernels_enabled("light_propagate"):
+    if fused_kernels_enabled():
         return light_propagate(norm_adj, ego, num_layers)
     layers = [ego]
     current = ego

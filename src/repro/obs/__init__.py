@@ -33,7 +33,6 @@ from repro.obs.trace import (
     current_seq,
     events_since,
     snapshot_events,
-    drain_events,
     absorb_events,
     dropped_event_count,
     chrome_trace,
@@ -72,7 +71,6 @@ __all__ = [
     "current_seq",
     "events_since",
     "snapshot_events",
-    "drain_events",
     "absorb_events",
     "dropped_event_count",
     "chrome_trace",

@@ -50,7 +50,6 @@ __all__ = [
     "current_seq",
     "events_since",
     "snapshot_events",
-    "drain_events",
     "absorb_events",
     "dropped_event_count",
     "chrome_trace",
@@ -365,26 +364,11 @@ def snapshot_events() -> List[Dict[str, Any]]:
         return [event for _, event in _ordered_entries()]
 
 
-def drain_events() -> List[Dict[str, Any]]:
-    """Return all buffered events and clear the buffer.
-
-    A worker process can call this at shutdown to ship its events to
-    the parent in one message; pairing it with :func:`absorb_events` on the parent
-    side gives exactly-once merge semantics.
-    """
-    global _ring, _next_slot
-    with _lock:
-        events = [event for _, event in _ordered_entries()]
-        _ring = []
-        _next_slot = 0
-    return events
-
-
 def absorb_events(events: Iterable[Dict[str, Any]]) -> int:
     """Merge events recorded in another process into this buffer.
 
-    Accepts the plain dicts produced by :func:`drain_events` /
-    :func:`events_since`; entries without the minimal ``name``/``ph``
+    Accepts the plain dicts produced by :func:`events_since` /
+    :func:`snapshot_events`; entries without the minimal ``name``/``ph``
     keys are skipped.  Returns the number of events absorbed.  Works
     whether or not tracing is currently enabled, so a parent can collect
     worker traces even after its own scope closed.

@@ -17,9 +17,8 @@ makes ``load_snapshot(path, mmap=True)`` zero-copy (see
 entry                 contents
 ====================  ===================================================
 ``meta_json``         JSON: schema id, ``format_version`` (see
-                      :data:`SNAPSHOT_FORMAT_VERSION`; absent =
-                      version 1, v1/v2 migrated on load,
-                      newer-than-supported rejected), model registry
+                      :data:`SNAPSHOT_FORMAT_VERSION`; any other
+                      version is rejected on load), model registry
                       name, :class:`~repro.train.ModelConfig` fields,
                       construction seed, parameter dtype,
                       ``num_users`` / ``num_items``, dataset name, and
@@ -34,7 +33,8 @@ entry                 contents
 ``ann::centroids``,   the IVF retrieval index built from the embeddings
 ``ann::indptr``,      at snapshot time (v3 embedding snapshots); lets
 ``ann::items``        ``backend="ann"`` services skip the k-means
-                      rebuild — older artifacts rebuild it on the fly
+                      rebuild — ``include_ann=False`` saves rebuild it
+                      on the fly
 ====================  ===================================================
 
 Any of the registered models round-trips: snapshots with embeddings are

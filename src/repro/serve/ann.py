@@ -5,7 +5,8 @@ The exact serving path scores a request block with one GEMM against
 under heavy traffic.  :class:`IVFIndex` is the approximate alternative
 behind ``RecommenderService(backend="ann")``:
 
-* **Build** (at snapshot time, or on the fly for pre-v3 artifacts):
+* **Build** (at snapshot time, or on the fly for ``include_ann=False``
+  snapshots):
   seeded Lloyd k-means partitions the item embeddings into ``nlist``
   clusters; the index stores the centroid table plus a CSR-style member
   list (``indptr`` / ``items``).  Everything is deterministic given

@@ -194,8 +194,8 @@ class RecommenderService:
         (:meth:`Snapshot.build_model`) and serve the restored model.
 
         ``backend="ann"`` restores the snapshot's stored IVF index when
-        present (format v3) and otherwise rebuilds it from the item
-        embeddings — deterministically identical, so pre-v3 artifacts
+        present and otherwise rebuilds it from the item embeddings —
+        deterministically identical, so ``include_ann=False`` saves
         serve approximately too.  ``ann_config`` overrides the stored
         build config (forcing a rebuild).  ``mmap=True`` (paths only)
         memory-maps the embedding tables; see

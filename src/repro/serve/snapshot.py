@@ -24,9 +24,8 @@ stored members), which is what makes ``load_snapshot(path, mmap=True)``
 possible: the embedding tables are returned as read-only
 ``np.memmap`` views straight into the page cache, so N serving
 processes loading the same snapshot share one physical copy of the
-tables instead of N.  v1/v2 artifacts are deflate-compressed and cannot
-be mapped; ``mmap=True`` on one fails with a clear error (re-save under
-v3 to get mapping).
+tables instead of N.  Only format v3 loads; any other
+``format_version`` is rejected by name.
 
 Restore paths, in order of preference:
 
@@ -59,19 +58,12 @@ from ..train.config import ModelConfig, config_to_dict
 #: schema id embedded in every snapshot's ``meta_json``
 SNAPSHOT_SCHEMA = "repro-serve-snapshot/v1"
 
-#: current snapshot format version, stamped into ``meta_json``.
-#:
-#: * **1** — the original artifact (no ``format_version`` field); its
-#:   array layout is identical to v2, so loading migrates it in place by
-#:   stamping the field.
-#: * **2** — ``format_version`` present; deflate-compressed members.
-#: * **3** — members stored uncompressed (memory-mappable via
-#:   ``load_snapshot(..., mmap=True)``); embedding snapshots
-#:   additionally carry the ``ann::*`` IVF index arrays and an ``ann``
-#:   config block in ``meta_json``.  v1/v2 artifacts still load (the
-#:   serving layer rebuilds the ANN index on the fly when asked for it)
-#:   but cannot be memory-mapped.  Artifacts from a *newer* writer are
-#:   rejected with a clear error instead of being misread.
+#: the snapshot format version, stamped into ``meta_json`` and the only
+#: one :func:`load_snapshot` reads.  Version 3 stores members
+#: uncompressed (memory-mappable via ``load_snapshot(..., mmap=True)``);
+#: embedding snapshots additionally carry the ``ann::*`` IVF index
+#: arrays and an ``ann`` config block in ``meta_json``.  A missing,
+#: older, newer or invalid version is rejected instead of being misread.
 SNAPSHOT_FORMAT_VERSION = 3
 
 _PARAM_PREFIX = "param::"
@@ -82,29 +74,25 @@ _ANN_PREFIX = "ann::"
 SNAPSHOT_TMP_SUFFIX = ".tmp.npz"
 
 
-def _migrate_meta(meta: Dict, path: str) -> Dict:
-    """Bring a loaded ``meta_json`` document up to the current version.
+def _check_format_version(meta: Dict, path: str) -> None:
+    """Reject a ``meta_json`` document whose version is not the current.
 
-    Version-absent artifacts (written before versioning existed) are
-    treated as v1 and migrated by stamping the field — their array
-    layout already matches.  v2 artifacts differ from v3 only by member
-    compression and the (optional) stored ANN index, so their metadata
-    migrates by stamping too; the arrays they lack are rebuilt on
-    demand.  Versions newer than this library's are an error: a rolling
-    deployment must upgrade the reader before the writer.
+    A missing field (a version-1 artifact), an older or newer version
+    and a non-integer value all raise a :class:`ValueError` naming it.
     """
-    version = meta.get("format_version", 1)
-    if not isinstance(version, int) or version < 1:
+    if "format_version" not in meta:
+        raise ValueError(f"snapshot {path} has no format_version (a "
+                         "version-1 artifact); this version of repro "
+                         f"reads only format_version "
+                         f"{SNAPSHOT_FORMAT_VERSION}")
+    version = meta["format_version"]
+    if type(version) is not int:
         raise ValueError(f"invalid snapshot format_version {version!r} "
                          f"in {path}")
-    if version > SNAPSHOT_FORMAT_VERSION:
+    if version != SNAPSHOT_FORMAT_VERSION:
         raise ValueError(
             f"snapshot {path} has format_version {version}, but this "
-            f"version of repro reads at most {SNAPSHOT_FORMAT_VERSION}; "
-            "upgrade repro to load it")
-    meta = dict(meta)
-    meta["format_version"] = SNAPSHOT_FORMAT_VERSION
-    return meta
+            f"version of repro reads only {SNAPSHOT_FORMAT_VERSION}")
 
 
 def _config_from_dict(payload: Dict) -> ModelConfig:
@@ -295,7 +283,7 @@ class Snapshot:
 
     @property
     def has_ann(self) -> bool:
-        """Whether the stored IVF index arrays are present (format v3)."""
+        """Whether the stored IVF index arrays are present."""
         return self.ann_centroids is not None
 
     @property
@@ -306,10 +294,10 @@ class Snapshot:
     def build_ann_index(self) -> IVFIndex:
         """The snapshot's IVF retrieval index.
 
-        Restored from the stored arrays when present (format v3);
-        otherwise — v1/v2 artifacts, or saves with ``include_ann=False``
-        — rebuilt deterministically from the item embeddings, which by
-        construction yields the same index a v3 save would have stored.
+        Restored from the stored arrays when present; otherwise (saves
+        with ``include_ann=False``) rebuilt deterministically from the
+        item embeddings, which by construction yields the same index a
+        default save would have stored.
         Requires an embedding snapshot.
         """
         if not self.has_embeddings:
@@ -367,9 +355,9 @@ def _mmap_npz_entries(path: str, names) -> Dict[str, np.ndarray]:
     walks the archive itself: for each requested member it locates the
     payload (local file header + the ``.npy`` header parsed via
     :mod:`numpy.lib.format`) and hands the absolute file offset to
-    :class:`np.memmap`.  Members written compressed (v1/v2 artifacts)
-    raise a :class:`ValueError` naming the fix — there is no zero-copy
-    view of deflate data.
+    :class:`np.memmap`.  Members stored compressed (an artifact
+    rewritten by another tool) raise a :class:`ValueError` naming the
+    fix — there is no zero-copy view of deflate data.
     """
     out: Dict[str, np.ndarray] = {}
     with zipfile.ZipFile(path) as zf, open(path, "rb") as raw:
@@ -381,10 +369,10 @@ def _mmap_npz_entries(path: str, names) -> Dict[str, np.ndarray]:
             info = zf.getinfo(member)
             if info.compress_type != zipfile.ZIP_STORED:
                 raise ValueError(
-                    f"snapshot {path} stores {name!r} compressed "
-                    "(a pre-v3 artifact); mmap=True needs an "
-                    "uncompressed format v3 snapshot — load it without "
-                    "mmap and re-save to upgrade")
+                    f"snapshot {path} stores {name!r} compressed; "
+                    "mmap=True needs the uncompressed members "
+                    "save_snapshot writes — load it without mmap and "
+                    "re-save it")
             # the central directory's name/extra lengths may differ from
             # the local header's, so read the local header to find the
             # payload start
@@ -413,8 +401,8 @@ def load_snapshot(path: str, mmap: bool = False) -> Snapshot:
     back as read-only :class:`np.memmap` views onto the file, so N
     processes loading the same snapshot share one resident copy through
     the page cache (metadata, parameters and the exclusion CSR are still
-    loaded eagerly — they are small).  Requires an uncompressed format
-    v3 artifact; pre-v3 (compressed) snapshots raise a clear error.
+    loaded eagerly — they are small).  Requires uncompressed members;
+    a compressed artifact raises a clear error.  Only format v3 loads.
     """
     with np.load(path, allow_pickle=False) as blob:
         if "meta_json" not in blob.files:
@@ -425,7 +413,7 @@ def load_snapshot(path: str, mmap: bool = False) -> Snapshot:
             raise ValueError(f"unsupported snapshot schema "
                              f"{meta.get('schema')!r} in {path} "
                              f"(expected {SNAPSHOT_SCHEMA})")
-        meta = _migrate_meta(meta, path)
+        _check_format_version(meta, path)
         state = {name[len(_PARAM_PREFIX):]: blob[name]
                  for name in blob.files if name.startswith(_PARAM_PREFIX)}
         shape = (int(meta["num_users"]), int(meta["num_items"]))

@@ -28,7 +28,8 @@ class ModelConfig:
     negative_weight: float = 0.0     # r, the negative-sample ratio of
                                      # Sec III-D.1; 1.0 = plain InfoNCE.
                                      # 0 (alignment-only) is required at
-                                     # miniature scale — see DESIGN.md
+                                     # miniature scale (measured by
+                                     # benchmarks/test_ablation_design)
     dropout: float = 0.1             # structure/feature corruption rate
     # --- GraphAug specific -------------------------------------------- #
     gib_weight: float = 1e-5         # beta1; the paper's best (Fig 5a)
@@ -67,14 +68,13 @@ class TrainConfig:
     snapshot_path: Optional[str] = None       # write a serving snapshot
                                               # (repro.serve) of the final
                                               # parameters here after fit
-    autograd_backend: Optional[str] = None    # primitive-implementation
-                                              # backend selected for the
-                                              # whole fit (e.g. "fused"
-                                              # routes BPR loss + LightGCN
-                                              # propagation through the
-                                              # one-node fused kernels).
-                                              # None = the bit-reproducible
-                                              # reference tape.  Spec-
+    autograd_backend: Optional[str] = None    # "fused" routes BPR loss +
+                                              # LightGCN propagation through
+                                              # the one-node fused kernels
+                                              # for the whole fit; None =
+                                              # the bit-reproducible
+                                              # composed tape.  Any other
+                                              # value is rejected.  Spec-
                                               # visible on purpose: fused
                                               # gradients differ from the
                                               # composed graph by float

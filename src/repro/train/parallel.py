@@ -59,7 +59,7 @@ def stale_batch_grads(user_rows: np.ndarray, pos_rows: np.ndarray,
     u = Tensor(user_rows, requires_grad=True)
     vp = Tensor(pos_rows, requires_grad=True)
     vn = Tensor(neg_rows, requires_grad=True)
-    if fused_kernels_enabled("fused_bpr_loss"):
+    if fused_kernels_enabled():
         loss = fused_bpr_loss(u, vp, vn)
     else:
         pos_scores = (u * vp).sum(axis=1)

@@ -18,9 +18,9 @@ import numpy as np
 
 from .config import TrainConfig
 from .parallel import apply_stale_gradients, stale_batch_grads
-from ..autograd import (Adam, ExponentialLR, SPMM_PRIMITIVES, no_grad,
-                        primitive_profile, primitive_profiling_enabled,
-                        use_backend)
+from ..autograd import (Adam, ExponentialLR, SPMM_PRIMITIVES,
+                        fused_kernels, no_grad, primitive_profile,
+                        primitive_profiling_enabled)
 from ..data import BPRSampler, InteractionDataset
 from ..eval import evaluate_model
 from ..obs import (console, counter, counter_event, gauge, histogram, span,
@@ -126,6 +126,10 @@ class Trainer:
     @staticmethod
     def _validate_schedule(model, cfg: TrainConfig) -> None:
         """Reject inconsistent scheduler knobs up front, loudly."""
+        if cfg.autograd_backend not in (None, "fused"):
+            raise ValueError(
+                f"autograd_backend must be None or 'fused', got "
+                f"{cfg.autograd_backend!r}")
         if cfg.propagate_every < 1:
             raise ValueError(
                 f"propagate_every must be >= 1, got {cfg.propagate_every}")
@@ -143,16 +147,14 @@ class Trainer:
     def fit(self) -> FitResult:
         """Train to completion under the configured autograd backend.
 
-        ``TrainConfig.autograd_backend`` (when set) scopes the primitive
-        backend selection — e.g. the fused hot-path kernels — to this
-        fit and is restored afterwards.  ``TrainConfig.trace`` likewise
+        ``TrainConfig(autograd_backend="fused")`` scopes the fused
+        hot-path kernels (:func:`~repro.autograd.primitives
+        .fused_kernels`) to this fit.  ``TrainConfig.trace`` likewise
         scopes ``repro.obs`` tracing to this fit (and never force-
         disables tracing a caller already enabled).
         """
-        with trace_scope(self.config.trace):
-            if self.config.autograd_backend:
-                with use_backend(self.config.autograd_backend):
-                    return self._fit()
+        with trace_scope(self.config.trace), \
+                fused_kernels(self.config.autograd_backend == "fused"):
             return self._fit()
 
     @staticmethod

@@ -31,7 +31,7 @@ REQUIRED_EXAMPLES = (
     ("repro.api.sweep", "expand_grid"),
     ("repro.autograd.primitives", "primitive"),
     ("repro.autograd.primitives", "defvjp"),
-    ("repro.autograd.primitives", "use_backend"),
+    ("repro.autograd.primitives", "fused_kernels"),
     ("repro.autograd.fused", "fused_bpr_loss"),
     ("repro.autograd.fused", "light_propagate"),
 )

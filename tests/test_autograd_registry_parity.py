@@ -1,4 +1,4 @@
-"""End-to-end parity and backend-table contracts for the registry tape.
+"""End-to-end parity and fused-switch contracts for the registry tape.
 
 Three guarantees the autograd refactor must keep:
 
@@ -10,8 +10,9 @@ Three guarantees the autograd refactor must keep:
   kernels match the composed graphs (bit-identical forward for
   ``light_propagate``, float tolerance elsewhere) and train to the same
   place.
-* **Backend table semantics** — per-primitive selection, scoping,
-  fallback to reference, and env-string parsing.
+* **Fused-switch semantics** — ``fused_kernels`` scopes and restores
+  the switch, and ``TrainConfig.autograd_backend`` accepts only
+  ``None`` or ``"fused"``.
 """
 
 import numpy as np
@@ -19,13 +20,10 @@ import pytest
 import scipy.sparse as sp
 
 from repro.api import Experiment, ExperimentSpec, run_dir_fingerprint
-from repro.autograd import (Tensor, defimpl, defvjp, enable_spmm_profiling,
+from repro.autograd import (Tensor, enable_primitive_profiling,
                             fused_bpr_loss, fused_bpr_scores,
-                            light_propagate, primitive, selected_backend,
-                            set_default_backend, set_primitive_backend,
-                            unregister_primitive, use_backend,
-                            fused_kernels_enabled, functional as F)
-from repro.autograd.primitives import configure_from_env
+                            fused_kernels, fused_kernels_enabled,
+                            light_propagate, functional as F)
 from repro.data import tiny_dataset
 from repro.models import build_model
 from repro.models.base import light_gcn_propagate
@@ -133,61 +131,29 @@ class TestFusedParity:
             assert metrics["fused"][key] == pytest.approx(want, abs=1e-6)
 
 
-class TestBackendTable:
-    def test_defimpl_selection_and_fallback(self):
-        prim = primitive("_bt_double")(lambda x: x * 2.0)
-        defvjp("_bt_double", lambda g, ans, x: g * 2.0)
-        defimpl("_bt_double", "turbo")(lambda x: x + x)
-        try:
-            x = Tensor(np.arange(3.0))
-            assert prim.impl() is prim.impls["reference"]
-            with use_backend("turbo"):
-                assert selected_backend("_bt_double") == "turbo"
-                assert prim.impl() is prim.impls["turbo"]
-                np.testing.assert_array_equal(prim(x).data, [0.0, 2.0, 4.0])
-            with use_backend("nonexistent"):
-                # selected backend has no impl: resolution falls back
-                assert prim.impl() is prim.impls["reference"]
-            assert selected_backend("_bt_double") == "reference"
-        finally:
-            unregister_primitive("_bt_double")
+class TestFusedSwitch:
+    def test_fused_kernels_scoped_and_restored(self):
+        assert not fused_kernels_enabled()
+        with fused_kernels():
+            assert fused_kernels_enabled()
+            with fused_kernels(False):
+                assert not fused_kernels_enabled()
+            assert fused_kernels_enabled()
+        assert not fused_kernels_enabled()
+        with pytest.raises(RuntimeError):
+            with fused_kernels():
+                raise RuntimeError("boom")
+        assert not fused_kernels_enabled()
 
-    def test_per_primitive_override_beats_default(self):
-        try:
-            set_primitive_backend("spmm", "fused")
-            assert selected_backend("spmm") == "fused"
-            assert selected_backend("matmul") == "reference"
-            with use_backend("other"):
-                # the global default moves; the pin does not
-                assert selected_backend("spmm") == "fused"
-                assert selected_backend("matmul") == "other"
-        finally:
-            set_primitive_backend("spmm", None)
-        assert selected_backend("spmm") == "reference"
-
-    def test_use_backend_scoped_to_primitives(self):
-        with use_backend("fused", primitives=("light_propagate",)):
-            assert fused_kernels_enabled("light_propagate")
-            assert not fused_kernels_enabled("fused_bpr_loss")
-        assert not fused_kernels_enabled("light_propagate")
-
-    def test_env_spec_parsing(self):
-        try:
-            configure_from_env("fused")
-            assert selected_backend("fused_bpr_loss") == "fused"
-            configure_from_env(
-                "reference,light_propagate=fused, spmm = reference ")
-            assert selected_backend("light_propagate") == "fused"
-            assert selected_backend("spmm") == "reference"
-            assert selected_backend("fused_bpr_loss") == "reference"
-        finally:
-            set_default_backend("reference")
-            set_primitive_backend("light_propagate", None)
-            set_primitive_backend("spmm", None)
-
-    def test_empty_env_spec_is_noop(self):
-        configure_from_env("")
-        assert selected_backend("matmul") == "reference"
+    def test_unknown_autograd_backend_rejected(self):
+        dataset = tiny_dataset(seed=1)
+        model = build_model("lightgcn", dataset,
+                            ModelConfig(embedding_dim=8, num_layers=1),
+                            seed=1)
+        cfg = TrainConfig(epochs=1, batch_size=128,
+                          autograd_backend="fuesd")
+        with pytest.raises(ValueError, match="'fuesd'"):
+            fit_model(model, dataset, cfg, seed=1)
 
 
 class TestTrainerIntegration:
@@ -198,12 +164,12 @@ class TestTrainerIntegration:
                             seed=4)
         cfg = TrainConfig(epochs=2, batch_size=128, eval_every=2,
                           autograd_backend="fused")
-        enable_spmm_profiling(True)
+        enable_primitive_profiling(True)
         try:
             fit = fit_model(model, dataset, cfg, seed=4)
         finally:
-            enable_spmm_profiling(False)
-        assert selected_backend("light_propagate") == "reference"  # restored
+            enable_primitive_profiling(False)
+        assert not fused_kernels_enabled()  # restored
         # the fused kernels actually ran ...
         assert "light_propagate" in fit.primitive_seconds
         assert "fused_bpr_loss" in fit.primitive_seconds
@@ -218,13 +184,13 @@ class TestTrainerIntegration:
         model = build_model("lightgcn", dataset,
                             ModelConfig(embedding_dim=8, num_layers=2),
                             seed=5)
-        enable_spmm_profiling(True)
+        enable_primitive_profiling(True)
         try:
             fit = fit_model(model, dataset,
                             TrainConfig(epochs=1, batch_size=128,
                                         eval_every=1), seed=5)
         finally:
-            enable_spmm_profiling(False)
+            enable_primitive_profiling(False)
         assert "spmm" in fit.primitive_seconds
         assert "light_propagate" not in fit.primitive_seconds
         assert fit.spmm_seconds == pytest.approx(

@@ -7,9 +7,9 @@ import pytest
 import scipy.sparse as sp
 
 from repro.autograd import (Tensor, clear_sparse_caches, coo_from_scipy,
-                            enable_spmm_profiling, gradcheck,
-                            reset_spmm_profile, spmm, spmm_profile,
-                            weighted_spmm)
+                            enable_primitive_profiling, gradcheck,
+                            primitive_profile, reset_primitive_profile,
+                            spmm, weighted_spmm)
 from repro.autograd import sparse as sparse_mod
 
 
@@ -161,21 +161,21 @@ class TestOperandCaches:
 class TestSpmmProfiling:
     def test_counters_accumulate_when_enabled(self):
         matrix = sp.random(4, 4, density=0.5, random_state=16, format="csr")
-        reset_spmm_profile()
-        enable_spmm_profiling(True)
+        reset_primitive_profile()
+        enable_primitive_profiling(True)
         try:
             spmm(matrix, dense_tensor((4, 2), 16)).sum().backward()
         finally:
-            enable_spmm_profiling(False)
-        profile = spmm_profile()
+            enable_primitive_profiling(False)
+        profile = primitive_profile()["spmm"]
         assert profile["calls"] == 2  # forward + backward
         assert profile["seconds"] >= 0.0
 
     def test_disabled_by_default(self):
         matrix = sp.random(4, 4, density=0.5, random_state=17, format="csr")
-        reset_spmm_profile()
+        reset_primitive_profile()
         spmm(matrix, dense_tensor((4, 2), 17))
-        assert spmm_profile()["calls"] == 0
+        assert "spmm" not in primitive_profile()
 
 
 class TestCooFromScipy:

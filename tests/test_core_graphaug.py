@@ -106,7 +106,8 @@ class TestTraining:
 
         Measured on the *encoder output* (not trained models): on miniature
         trained models the raw MAD is dominated by the popularity cone the
-        ranking objective itself induces — see EXPERIMENTS.md.
+        ranking objective itself induces, so it says little about the
+        encoder.
         """
         import numpy as np
         from repro.autograd import Tensor, spmm

@@ -1,8 +1,11 @@
-"""Documentation-contract tests: every public item carries a docstring."""
+"""Documentation-contract tests: every public item carries a docstring,
+and every ``*.md`` file the code and docs name exists."""
 
 import importlib
 import inspect
+import os
 import pkgutil
+import re
 
 import pytest
 
@@ -66,3 +69,63 @@ def test_public_functions_documented():
                     undocumented.append(f"{module.__name__}.{name}")
     assert not undocumented, (
         "functions missing docstrings: " + ", ".join(undocumented))
+
+
+# --------------------------------------------------------------------- #
+# doc references: every *.md file the code and docs name must exist
+# --------------------------------------------------------------------- #
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: trees and files whose ``*.md`` references are checked
+REFERENCE_SOURCES = ("src", "tests", "benchmarks", "examples", "docs",
+                     "README.md", "API.md")
+
+#: ``*.md`` names that are program output, not repo files
+GENERATED_MD = frozenset({"leaderboard.md"})
+
+_MD_REFERENCE = re.compile(r"[\w./-]*[\w-]\.md\b")
+
+
+def _reference_files():
+    for source in REFERENCE_SOURCES:
+        path = os.path.join(REPO_ROOT, source)
+        if os.path.isfile(path):
+            yield path
+        for root, dirs, files in os.walk(path):
+            dirs[:] = [d for d in dirs
+                       if not d.startswith(".") and d != "__pycache__"]
+            for name in files:
+                if name.endswith((".py", ".md")):
+                    yield os.path.join(root, name)
+
+
+def _repo_md_names():
+    names = set()
+    for root, dirs, files in os.walk(REPO_ROOT):
+        dirs[:] = [d for d in dirs if not d.startswith(".")]
+        names.update(name for name in files if name.endswith(".md"))
+    return names
+
+
+def _resolves(reference, md_names):
+    """Path-qualified names resolve from the repo root, bare ones anywhere."""
+    if "/" in reference:
+        return os.path.isfile(os.path.join(REPO_ROOT, reference))
+    return reference in md_names
+
+
+def test_markdown_references_exist():
+    md_names = _repo_md_names()
+    dangling = []
+    for path in _reference_files():
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                # a literal "\n" escape (mermaid labels) is not part of a name
+                for ref in _MD_REFERENCE.findall(line.replace("\\n", " ")):
+                    if os.path.basename(ref) in GENERATED_MD:
+                        continue
+                    if not _resolves(ref, md_names):
+                        rel = os.path.relpath(path, REPO_ROOT)
+                        dangling.append(f"{rel}:{lineno}: {ref}")
+    assert not dangling, "dangling *.md references:\n" + "\n".join(dangling)

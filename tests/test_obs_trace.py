@@ -196,13 +196,6 @@ class TestRingBuffer:
         names = [e["name"] for e in obs.events_since(mark)]
         assert names == ["after1", "after2"]
 
-    def test_drain_empties_buffer(self):
-        obs.enable_tracing(True)
-        obs.instant_event("x")
-        drained = obs.drain_events()
-        assert [e["name"] for e in drained] == ["x"]
-        assert obs.snapshot_events() == []
-
     def test_absorb_merges_foreign_events(self):
         foreign = [
             {"name": "w", "ph": "X", "ts": 1.0, "dur": 2.0, "pid": 999, "tid": 1},

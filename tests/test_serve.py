@@ -209,20 +209,17 @@ class TestSnapshot:
         snap = load_snapshot(path)
         assert snap.meta["format_version"] == SNAPSHOT_FORMAT_VERSION
 
-    def test_version_absent_artifact_migrates(self, dataset, model_config,
+    def test_version_absent_artifact_rejected(self, dataset, model_config,
                                               tmp_path):
-        # a PR-3-era artifact has no format_version field at all; it must
-        # load as v1 and come back stamped at the current version
-        from repro.serve import SNAPSHOT_FORMAT_VERSION
+        # an artifact without a format_version field predates versioning
+        # (version 1); it is rejected by name rather than migrated
         model = _build("lightgcn", dataset, model_config)
         path = save_snapshot(model, dataset, str(tmp_path / "snap"))
-        expected = RecommenderService.from_snapshot(path).recommend(k=K)
         self._rewrite_meta(path, lambda m: m.pop("format_version"))
-        snap = load_snapshot(path)
-        assert snap.meta["format_version"] == SNAPSHOT_FORMAT_VERSION
-        assert np.array_equal(
-            RecommenderService.from_snapshot(snap).recommend(k=K),
-            expected)
+        with pytest.raises(ValueError, match="no format_version"):
+            load_snapshot(path)
+        with pytest.raises(ValueError, match="no format_version"):
+            RecommenderService.from_snapshot(path)
 
     def test_future_format_version_rejected(self, dataset, model_config,
                                             tmp_path):

@@ -2,8 +2,8 @@
 
 Covers the IVF index itself (determinism, coverage guarantees, the
 probe cache), the ``backend="exact"|"ann"`` service knob, zero-copy
-``mmap`` snapshot loading, v1/v2 -> v3 migration (index rebuilt on the
-fly, newer writers rejected), and the stale-index regression: a
+``mmap`` snapshot loading, rejection of every format version but v3,
+and the stale-index regression: a
 ``partial_update`` fold-in must never leave ``recommend`` answering
 from pre-update probe state.
 """
@@ -224,7 +224,7 @@ class TestServiceBackendKnob:
 
 
 # --------------------------------------------------------------------- #
-# snapshot format v3: stored index, mmap, migration
+# snapshot format v3: stored index, mmap, version rejection
 # --------------------------------------------------------------------- #
 
 class TestSnapshotV3:
@@ -314,7 +314,7 @@ class TestSnapshotV3:
             RecommenderService.from_snapshot(snap, mmap=True)
 
     # ----------------------------------------------------------------- #
-    # migration (rolling-deployment contract)
+    # versioning: only format v3 loads
     # ----------------------------------------------------------------- #
 
     def _as_legacy(self, path, out, version):
@@ -333,23 +333,17 @@ class TestSnapshotV3:
         return out
 
     @pytest.mark.parametrize("version", [None, 2])
-    def test_legacy_artifact_serves_ann_via_rebuild(self, tmp_path,
-                                                    version):
-        user, item = clustered_embeddings()
+    def test_legacy_artifact_rejected(self, tmp_path, version):
+        user, item = clustered_embeddings(num_users=30, num_items=40)
         path = save_embedding_snapshot(str(tmp_path / "v3.npz"), user,
                                        item)
         legacy = self._as_legacy(path, str(tmp_path / "old.npz"), version)
-        snap = load_snapshot(legacy)
-        assert snap.meta["format_version"] == SNAPSHOT_FORMAT_VERSION
-        assert not snap.has_ann
-        with RecommenderService.from_snapshot(path,
-                                              backend="ann") as stored, \
-                RecommenderService.from_snapshot(legacy,
-                                                 backend="ann") as rebuilt:
-            # the on-the-fly rebuild is the same deterministic index the
-            # v3 save stored, so the answers match exactly
-            assert np.array_equal(stored.recommend(k=K),
-                                  rebuilt.recommend(k=K))
+        named = ("no format_version" if version is None
+                 else f"format_version {version}")
+        with pytest.raises(ValueError, match=named):
+            load_snapshot(legacy)
+        with pytest.raises(ValueError, match=named):
+            RecommenderService.from_snapshot(legacy, backend="ann")
 
     def test_newer_writer_rejected_by_name(self, tmp_path):
         user, item = clustered_embeddings(num_users=30, num_items=40)

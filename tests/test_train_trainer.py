@@ -119,15 +119,15 @@ class TestHotpathTimings:
 
     def test_spmm_seconds_with_profiling(self, small_dataset,
                                          fast_model_config):
-        from repro.autograd import enable_spmm_profiling
+        from repro.autograd import enable_primitive_profiling
         model = build_model("lightgcn", small_dataset, fast_model_config,
                             seed=0)
         cfg = TrainConfig(epochs=1, batch_size=64, eval_every=1)
-        enable_spmm_profiling(True)
+        enable_primitive_profiling(True)
         try:
             result = fit_model(model, small_dataset, cfg, seed=0)
         finally:
-            enable_spmm_profiling(False)
+            enable_primitive_profiling(False)
         assert result.spmm_seconds > 0.0
 
 
